@@ -21,22 +21,25 @@ global winner — see :mod:`repro.tools.tuneplan` (docs/AUTOTUNE.md).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, Optional
 
-from repro.compiler.pipeline import CompileOptions, compile_source
+from repro.compiler.pipeline import CompileOptions
 from repro.compiler.postpass.granularity import GRAINS
-from repro.runtime.executor import run_program
 from repro.runtime.program import SpmdProgram
 from repro.runtime.report import RunReport
+from repro.tools.tuneplan import (
+    DEFAULT_EPSILON,
+    METRICS,
+    _check_args,
+    _compile,
+    _margin,
+    _probe,
+    _report_value,
+    _Table,
+)
 
 __all__ = ["GranularityReport", "choose_granularity", "METRICS"]
-
-#: Metrics the tuner can optimize.
-METRICS = ("total", "comm", "comm_cpu")
-
-#: Relative gap under which two grains count as tied (see module doc).
-DEFAULT_EPSILON = 0.05
 
 
 @dataclass
@@ -84,14 +87,6 @@ class GranularityReport:
         return "\n".join(lines)
 
 
-def _metric_value(report: RunReport, metric: str) -> float:
-    if metric == "total":
-        return report.total_s
-    if metric == "comm":
-        return report.comm_max_s
-    return report.comm_cpu_max_s
-
-
 def choose_granularity(
     source: str,
     nprocs: int = 4,
@@ -110,32 +105,33 @@ def choose_granularity(
     with fewer messages, then to the finer grain.  Returns a
     :class:`GranularityReport` whose ``program`` field holds the winning
     compiled program.
-    """
-    if metric not in METRICS:
-        raise ValueError(f"metric must be one of {METRICS}, got {metric!r}")
-    if not 0.0 <= epsilon < 1.0:
-        raise ValueError(f"epsilon must be in [0, 1), got {epsilon!r}")
-    out = GranularityReport(best="", metric=metric, epsilon=epsilon)
-    programs: Dict[str, SpmdProgram] = {}
-    for grain in GRAINS:
-        if options is not None:
-            from dataclasses import replace
 
-            opts = replace(
-                options, granularity=grain, nprocs=nprocs, grain_map=None
-            )
-            prog = compile_source(source, options=opts)
-        else:
-            prog = compile_source(source, nprocs=nprocs, granularity=grain)
-        report = run_program(
-            prog, cluster_params=cluster_params, execute=False, faults=faults
-        )
-        programs[grain] = prog
+    This is the uniform-plan mode of the per-region tuner's candidate
+    table: its compile tier builds the three variants and its probe
+    helper measures each one whole-program.
+    """
+    _check_args(metric, epsilon)
+    base = (
+        CompileOptions(nprocs=nprocs)
+        if options is None
+        else replace(options, nprocs=nprocs, grain_map=None)
+    )
+    t = _Table(
+        source=source,
+        base=base,
+        params=cluster_params,
+        metric=metric,
+        epsilon=epsilon,
+        faults=faults,
+    )
+    _compile(t)
+    out = GranularityReport(best="", metric=metric, epsilon=epsilon)
+    for grain in GRAINS:
+        report = _probe(t, grain)
         out.reports[grain] = report
-        out.values[grain] = _metric_value(report, metric)
-        out.messages[grain] = sum(
-            p.total_messages() for p in prog.plans.values()
-        )
+        out.values[grain] = _report_value(report, metric)
+        plans = t.programs[(grain, None)].plans
+        out.messages[grain] = sum(p.total_messages() for p in plans.values())
 
     by_value = sorted(GRAINS, key=lambda g: (out.values[g], GRAINS.index(g)))
     leader_val = out.values[by_value[0]]
@@ -152,8 +148,6 @@ def choose_granularity(
         out.tie_break = "messages"
     else:
         out.best = by_value[0]
-    ordered = sorted(out.values[g] for g in GRAINS)
-    if len(ordered) > 1 and ordered[1] > 0.0:
-        out.margin = (ordered[1] - ordered[0]) / ordered[1]
-    out.program = programs[out.best]
+    out.margin = _margin(sorted(out.values.values()))
+    out.program = t.programs[(out.best, None)]
     return out

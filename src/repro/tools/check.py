@@ -30,7 +30,7 @@ are caught.
 Results come back as a versioned :class:`CheckReport` (JSON fields
 omitted-when-clean for byte-compat), content-address-cached via
 :mod:`repro.sweep.cache` when a ``cache_dir`` is given.  The autotuner
-(`tune_per_region(static_prune=True)`) uses :func:`bad_region_map` to
+(`tune_per_region`'s prune tier) uses :func:`bad_region_map` to
 drop statically-illegal grain×strategy candidates before pricing them.
 """
 

@@ -52,7 +52,8 @@ from repro.obs.export import (
 )
 from repro.runtime.executor import run_program, run_sequential
 from repro.sweep.runner import BACKENDS
-from repro.tools.autotune import METRICS, choose_granularity
+from repro.tools.autotune import choose_granularity
+from repro.tools.tuneplan import DEFAULT_EPSILON, METRICS
 
 __all__ = ["main"]
 
@@ -76,6 +77,22 @@ def _load_artifact(loader, path: str, what: str):
         raise _CliError(f"{what}: cannot load {path!r}: {exc}")
 
 
+def _nprocs(value: str) -> int:
+    """argparse type for --nprocs: a cluster size of at least 1."""
+    n = int(value)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {n}")
+    return n
+
+
+def _epsilon(value: str) -> float:
+    """argparse type for --epsilon: a relative margin in [0, 1)."""
+    eps = float(value)
+    if not 0.0 <= eps < 1.0:
+        raise argparse.ArgumentTypeError(f"must be in [0, 1), got {eps}")
+    return eps
+
+
 def _partition_spec(value: str) -> str:
     """argparse type for --partition: auto or a concrete strategy spec."""
     if value == "auto":
@@ -94,7 +111,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
         "source",
         help="Fortran 77 source file, or a workload spec like MM-256",
     )
-    p.add_argument("--nprocs", type=int, default=4, help="cluster size")
+    p.add_argument("--nprocs", type=_nprocs, default=4, help="cluster size")
     p.add_argument(
         "--granularity",
         choices=GRAINS,
@@ -148,6 +165,15 @@ def _source_text(source: str) -> str:
     raise SystemExit(
         f"repro: {source!r} is neither a file nor a workload spec"
     )
+
+
+def _cache_dir(args) -> Optional[str]:
+    """The artifact cache of ``--cache-dir`` / ``--no-cache``."""
+    if args.no_cache:
+        return None
+    from repro.sweep.cache import DEFAULT_CACHE_DIR
+
+    return args.cache_dir or DEFAULT_CACHE_DIR
 
 
 def _cluster(args):
@@ -265,8 +291,8 @@ def _build_parser() -> argparse.ArgumentParser:
     pa.add_argument("--metric", choices=METRICS, default="comm")
     pa.add_argument(
         "--epsilon",
-        type=float,
-        default=None,
+        type=_epsilon,
+        default=DEFAULT_EPSILON,
         help="relative near-tie margin (default 0.05): closer gaps go "
         "to the plan with fewer messages (global mode) or to the "
         "profiled rollup (per-region mode)",
@@ -323,7 +349,7 @@ def _build_parser() -> argparse.ArgumentParser:
         default="vbus",
         help="interconnect preset to calibrate (see docs/SWEEP.md)",
     )
-    pb.add_argument("--nprocs", type=int, default=4, help="cluster size")
+    pb.add_argument("--nprocs", type=_nprocs, default=4, help="cluster size")
     pb.add_argument(
         "-o",
         "--out",
@@ -489,18 +515,14 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    from repro.sweep.cache import DEFAULT_CACHE_DIR
     from repro.tools.check import check_source
 
-    cache_dir = None if args.no_cache else (
-        args.cache_dir or DEFAULT_CACHE_DIR
-    )
     report = check_source(
         _source_text(args.source),
         nprocs=args.nprocs,
         granularity=args.granularity,
         partition=args.partition,
-        cache_dir=cache_dir,
+        cache_dir=_cache_dir(args),
     )
     print(report.summary())
     return 0 if report.clean else 2
@@ -540,19 +562,16 @@ def _cmd_trace(args) -> int:
 
 def _cmd_sweep(args) -> int:
     from repro.sweep import SweepConfigError, load_grid, run_sweep
-    from repro.sweep.cache import DEFAULT_CACHE_DIR
     from repro.sweep.engine import summary_table, write_jsonl
 
     try:
         spec = load_grid(args.grid)
-        cache_dir = None if args.no_cache else (
-            args.cache_dir or DEFAULT_CACHE_DIR
-        )
         progress = None
         if not args.quiet:
             progress = lambda msg: print(f"sweep: {msg}", file=sys.stderr)
         result = run_sweep(
-            spec, jobs=args.jobs, cache_dir=cache_dir, progress=progress
+            spec, jobs=args.jobs, cache_dir=_cache_dir(args),
+            progress=progress,
         )
     except SweepConfigError as exc:
         print(f"sweep: {exc}", file=sys.stderr)
@@ -567,15 +586,16 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_calibrate(args) -> int:
-    from repro.sweep.cache import DEFAULT_CACHE_DIR
     from repro.tools.calibrate import calibrate
 
-    cache_dir = None if args.no_cache else (
-        args.cache_dir or DEFAULT_CACHE_DIR
-    )
-    model = calibrate(
-        backend=args.backend, nprocs=args.nprocs, cache_dir=cache_dir
-    )
+    try:
+        model = calibrate(
+            backend=args.backend,
+            nprocs=args.nprocs,
+            cache_dir=_cache_dir(args),
+        )
+    except ValueError as exc:
+        raise _CliError(f"calibrate: {exc}")
     print(model.summary())
     if args.out is not None:
         model.save(args.out)
@@ -602,8 +622,7 @@ def _cmd_autotune(args) -> int:
         )
         return 2
     if args.per_region:
-        from repro.sweep.cache import DEFAULT_CACHE_DIR
-        from repro.tools.tuneplan import DEFAULT_EPSILON, tune_per_region
+        from repro.tools.tuneplan import tune_per_region
 
         calibration = None
         if args.calibration is not None:
@@ -612,18 +631,13 @@ def _cmd_autotune(args) -> int:
             calibration = _load_artifact(
                 CalibratedModel.load, args.calibration, "autotune"
             )
-        cache_dir = None if args.no_cache else (
-            args.cache_dir or DEFAULT_CACHE_DIR
-        )
         plan = tune_per_region(
             src,
             nprocs=args.nprocs,
             metric=args.metric,
             backend=args.backend or "vbus",
-            epsilon=(
-                args.epsilon if args.epsilon is not None else DEFAULT_EPSILON
-            ),
-            cache_dir=cache_dir,
+            epsilon=args.epsilon,
+            cache_dir=_cache_dir(args),
             faults=faults,
             tune_partition=args.tune_partition,
             calibration=calibration,
@@ -633,8 +647,6 @@ def _cmd_autotune(args) -> int:
             plan.save(args.plan_out)
             print(f"wrote {args.plan_out}")
         return 0
-    from repro.tools.autotune import DEFAULT_EPSILON
-
     opts = CompileOptions(
         nprocs=args.nprocs,
         granularity=args.granularity,
@@ -646,7 +658,7 @@ def _cmd_autotune(args) -> int:
         metric=args.metric,
         options=opts,
         cluster_params=_cluster(args),
-        epsilon=args.epsilon if args.epsilon is not None else DEFAULT_EPSILON,
+        epsilon=args.epsilon,
         faults=faults,
     )
     print(rep.summary())

@@ -3,11 +3,14 @@
 The global tuner (:mod:`repro.tools.autotune`) profiles the whole
 program at every grain and picks one winner — three full profile runs,
 and one grain for every parallel region even when regions disagree.
-This module tunes **per region** with a pruned search:
+This module tunes **per region** with a pruned search, a fixed sequence
+of tier functions over one candidate table (:class:`_Table`; the global
+tuner is the table's uniform-plan mode):
 
 1. compile the three global-grain variants (compile analysis is cheap
-   next to simulation, and the pipeline cache makes repeats free) and
-   price each region's :class:`RegionCommPlan` with an **analytic cost
+   next to simulation, and the pipeline cache makes repeats free),
+   drop the candidates the static verifier proves illegal, and price
+   each region's :class:`RegionCommPlan` with an **analytic cost
    model** built from the §5.6 transfer plans and the backend's
    :class:`~repro.vbus.params.ClusterParams`;
 2. regions whose best grain wins by at least ``epsilon`` (relative
@@ -53,9 +56,9 @@ from repro.compiler.postpass.partition import (
     STRATEGIES,
     Partition,
     choose_strategy,
-    parse_strategy,
 )
 from repro.compiler.postpass.scatter import RegionCommPlan
+from repro.obs import region_rollup
 from repro.runtime.executor import run_program
 from repro.sweep.cache import (
     DEFAULT_CACHE_DIR,
@@ -75,8 +78,12 @@ __all__ = [
     "tune_per_region",
 ]
 
+#: Metrics the tuners can optimize.
+METRICS = ("total", "comm", "comm_cpu")
+
 #: Relative margin below which the analytic model refuses to decide and
-#: the region goes to the profile-measured tier instead.
+#: the region goes to the profile-measured tier instead (and under which
+#: two grains count as tied for the global tuner).
 DEFAULT_EPSILON = 0.05
 
 #: Rough CPU cost of one kernel-stack traversal (ethernet backends have
@@ -154,20 +161,18 @@ def region_model_cost(plan: RegionCommPlan, params, calibration=None) -> ModelCo
             and params.network == "vbus"
             and params.vbus_broadcast
         )
-        if bcast:
-            transfers = next(iter(aplan.scatter.values()), [])
+        # A fused broadcast is one wave: the first rank's transfers.
+        waves = (
+            [next(iter(aplan.scatter.values()), [])]
+            if bcast
+            else aplan.scatter.values()
+        )
+        for transfers in waves:
             messages += len(transfers)
             for t in transfers:
                 e, c = _transfer_cost(t, aplan.itemsize, params)
                 elapsed += e
                 cpu += c
-        else:
-            for transfers in aplan.scatter.values():
-                messages += len(transfers)
-                for t in transfers:
-                    e, c = _transfer_cost(t, aplan.itemsize, params)
-                    elapsed += e
-                    cpu += c
         rank_elapsed: List[float] = []
         rank_cpu: List[float] = []
         for transfers in aplan.collect.values():
@@ -324,8 +329,8 @@ class TunePlan:
     #: True when this plan came from the on-disk plan cache.
     cached: bool = field(default=False, compare=False)
     #: Analytic-tier price evaluations the search actually performed.
-    #: Diagnostic counters only — never serialized (so pruned and
-    #: unpruned searches emit byte-identical artifacts), 0 on warm
+    #: Diagnostic counters only — never serialized (so the artifact
+    #: says what was decided, not how much work it took), 0 on warm
     #: cache hits.
     evaluated_candidates: int = field(default=0, compare=False)
     #: (region, candidate) pairs the static tier skipped: verifier-
@@ -460,8 +465,15 @@ class TunePlan:
         return "\n".join(lines)
 
 
+def _check_args(metric: str, epsilon: float) -> None:
+    if metric not in METRICS:
+        raise ValueError(f"metric must be one of {METRICS}, got {metric!r}")
+    if not 0.0 <= epsilon < 1.0:
+        raise ValueError(f"epsilon must be in [0, 1), got {epsilon!r}")
+
+
 def _report_value(report, metric: str) -> float:
-    """The whole-program flavour of a tuning metric (flip probes)."""
+    """The whole-program flavour of a tuning metric."""
     if metric == "comm":
         return report.comm_max_s
     if metric == "comm_cpu":
@@ -643,6 +655,468 @@ def _resolve_backend(backend: Optional[str], cluster_params, nprocs: int):
     return P.cluster_for(nprocs, getattr(P, BACKENDS[name]))
 
 
+#: A search candidate: (grain, §5.3 strategy spec).  Strategy ``None``
+#: means the program default (``auto``), the only strategy of a
+#: grain-only search.
+Cand = Tuple[str, Optional[str]]
+
+
+@dataclass
+class _Table:
+    """The candidate table: what every tier of a search reads and writes.
+
+    The tiers run in order — :func:`_compile`, :func:`_prune`,
+    :func:`_price`, :func:`_profile`, :func:`_arbitrate`,
+    :func:`_compress` — and :func:`_probe` is the one way any of them
+    simulates a plan.
+    """
+
+    source: str
+    #: Options every variant shares; the tiers vary grain and strategy.
+    base: CompileOptions
+    #: ClusterParams of the probe runs (``None``: the runtime default).
+    params: object
+    metric: str
+    epsilon: float
+    faults: object = None
+    calibration: object = None
+    #: Strategies searched: ``(None,)`` for grain-only searches.
+    strategies: Tuple[Optional[str], ...] = (None,)
+    #: Compiled program per candidate.
+    programs: Dict[Cand, object] = field(default_factory=dict)
+    region_ids: List[int] = field(default_factory=list)
+    #: region -> its surviving candidates, in compile order.
+    cands: Dict[int, List[Cand]] = field(default_factory=dict)
+    #: region -> candidate -> analytic price under the static §5.6
+    #: constants, and under the calibration (calibrated searches only).
+    static: Dict[int, Dict[Cand, ModelCost]] = field(default_factory=dict)
+    calibrated: Dict[int, Dict[Cand, ModelCost]] = field(
+        default_factory=dict
+    )
+    #: Joint searches only: region -> what ``auto`` resolves to, region
+    #: -> strategy -> load-imbalance factor, and the measured compute
+    #: seconds that scale the factor.
+    auto_spec: Dict[int, str] = field(default_factory=dict)
+    imb: Dict[int, Dict[str, float]] = field(default_factory=dict)
+    compute_s: Dict[int, float] = field(default_factory=dict)
+    decisions: Dict[int, RegionDecision] = field(default_factory=dict)
+    #: region -> strategy family -> the family's model-best candidate.
+    family_best: Dict[int, Dict[Optional[str], Cand]] = field(
+        default_factory=dict
+    )
+    #: region -> near-tied candidates the profile tier measures.
+    ambiguous: Dict[int, List[Cand]] = field(default_factory=dict)
+    #: Simulator runs, analytic price evaluations, and (region,
+    #: candidate) pairs skipped by pruning or duplicate collapse.
+    profiles: int = 0
+    evaluated: int = 0
+    pruned: int = 0
+
+    @property
+    def joint(self) -> bool:
+        return self.strategies != (None,)
+
+
+def _probe(t: _Table, grain: str, gmap=None, pmap=None, trace=False):
+    """Compile and simulate (timing mode) one plan: ``grain`` by default,
+    ``gmap``/``pmap`` per region.  Counts one profile run.
+
+    Normalized so a plan that coincides with an already-compiled variant
+    hits the compile cache: a grain override equal to the default, or a
+    partition override equal to the region's ``auto`` choice, compiles
+    the same program without the override.
+    """
+    gmap = {r: g for r, g in (gmap or {}).items() if g != grain}
+    pmap = {**dict(t.base.partition_map or ()), **(pmap or {})}
+    pmap = {r: s for r, s in pmap.items() if s != t.auto_spec.get(r)}
+    opts = replace(
+        t.base,
+        granularity=grain,
+        grain_map=gmap or None,
+        partition_map=pmap or None,
+    )
+    t.profiles += 1
+    return run_program(
+        compile_source(t.source, options=opts),
+        cluster_params=t.params,
+        execute=False,
+        trace=trace,
+        faults=t.faults,
+    )
+
+
+def _rank(t: _Table, rid: int, cands, value: Dict[Cand, float]) -> List[Cand]:
+    """``cands`` best-first by ``value``; ties go to fewer messages, then
+    the region's ``auto`` strategy, then STRATEGIES order, then the finer
+    grain."""
+    auto = t.auto_spec.get(rid)
+
+    def key(c: Cand):
+        g, s = c
+        pref = (0, 0) if s is None else (
+            0 if s == auto else 1, STRATEGIES.index(s)
+        )
+        return (value[c], t.static[rid][c].messages, pref, GRAINS.index(g))
+
+    return sorted(cands, key=key)
+
+
+def _assignment(t: _Table) -> Tuple[Dict[int, str], Dict[int, str]]:
+    """The current decisions as (grain map, partition map)."""
+    gmap = {rid: t.decisions[rid].grain for rid in t.region_ids}
+    pmap = {
+        rid: t.decisions[rid].partition
+        for rid in t.region_ids
+        if t.decisions[rid].partition is not None
+    }
+    return gmap, pmap
+
+
+def _compile(t: _Table) -> None:
+    """Compile tier: every (grain, strategy) variant; the cost model
+    reads their plans.  A forced strategy that demotes regions
+    (PlanError fallback) shifts region numbering, so such variants are
+    no candidates rather than misattributed ones."""
+    for s in t.strategies:
+        for g in GRAINS:
+            kw = {} if s is None else {"partition": s}
+            t.programs[(g, s)] = compile_source(
+                t.source, options=replace(t.base, granularity=g, **kw)
+            )
+    t.region_ids = sorted(t.programs[(GRAINS[0], t.strategies[0])].plans)
+    candidates = [
+        c for c, prog in t.programs.items()
+        if sorted(prog.plans) == t.region_ids
+    ]
+    t.cands = {rid: candidates for rid in t.region_ids}
+
+
+def _prune(t: _Table) -> None:
+    """Prune tier (docs/CHECK.md): before pricing anything, run the
+    comm-plan verifier over every variant and drop the candidates it
+    proves illegal for a region.  A region where *every* candidate is
+    illegal keeps the full list — the tuner must still pick something,
+    and an everywhere-illegal program is ``repro check``'s verdict to
+    deliver, not the tuner's."""
+    from repro.tools.check import bad_region_map
+
+    candidates = next(iter(t.cands.values()), [])
+    illegal = {
+        c: frozenset(bad_region_map(t.programs[c])) for c in candidates
+    }
+    for rid in t.region_ids:
+        kept = [c for c in candidates if rid not in illegal[c]]
+        if kept and len(kept) < len(candidates):
+            t.pruned += len(candidates) - len(kept)
+            t.cands[rid] = kept
+
+
+def _imbalance(t: _Table) -> None:
+    """Joint searches price load imbalance: per-strategy iteration-weight
+    skew, scaled by each region's compute time from one baseline
+    instrumented profile (the trace-driven part of the model)."""
+    auto_prog = compile_source(
+        t.source, options=replace(t.base, granularity=GRAINS[0])
+    )
+    loops = _par_loops(auto_prog)
+    for rid in t.region_ids:
+        loop = loops.get(rid)
+        if loop is None:
+            continue
+        t.auto_spec[rid] = choose_strategy(loop, "auto")
+        t.imb[rid] = _strategy_imbalance(loop, t.base.nprocs)
+    # The imbalance term only matters where block and cyclic *differ* in
+    # skew: a factor common to every strategy shifts all candidates of a
+    # region equally and can never change a ranking.  Workloads with
+    # zero such regions (every nest rectangular, or near-even owner
+    # counts) skip the baseline instrumented profile entirely.
+    skewed = t.metric != "comm_cpu" and any(
+        factors and max(factors.values()) - min(factors.values()) > 1e-12
+        for factors in t.imb.values()
+    )
+    if skewed:
+        rollups = region_rollup(_probe(t, GRAINS[0], trace=True).trace)
+        for rid in t.region_ids:
+            roll = rollups.get(rid)
+            t.compute_s[rid] = (
+                max(0.0, roll.elapsed_s - roll.mpi_max_s)
+                if roll is not None
+                else 0.0
+            )
+
+
+def _priced(t: _Table, rid: int, calibration) -> Dict[Cand, ModelCost]:
+    """Price every surviving candidate of one region; structural
+    duplicates (equal :func:`_plan_price_key`) share one evaluation."""
+    out: Dict[Cand, ModelCost] = {}
+    shared: Dict[tuple, ModelCost] = {}
+    for c in t.cands[rid]:
+        plan = t.programs[c].plans[rid]
+        pk = _plan_price_key(plan)
+        if pk in shared:
+            t.pruned += 1
+        else:
+            shared[pk] = region_model_cost(
+                plan, t.params, calibration=calibration
+            )
+            t.evaluated += 1
+        out[c] = shared[pk]
+    return out
+
+
+def _values(
+    t: _Table, rid: int, costs: Dict[Cand, ModelCost]
+) -> Dict[Cand, float]:
+    """The tuning metric of each priced candidate, plus the imbalance
+    term of joint searches."""
+    factors = t.imb.get(rid, {})
+    compute_s = t.compute_s.get(rid, 0.0)
+    out = {}
+    for c in t.cands[rid]:
+        v = costs[c].metric(t.metric)
+        if c[1] is not None and t.metric != "comm_cpu":
+            v += factors.get(c[1], 0.0) * compute_s
+        out[c] = v
+    return out
+
+
+def _price(t: _Table) -> None:
+    """Analytic tier: price every candidate and decide the regions with
+    a clear model margin; near-ties become ``ambiguous``."""
+    if t.joint:
+        _imbalance(t)
+    for rid in t.region_ids:
+        cands = t.cands[rid]
+        t.static[rid] = costs = _priced(t, rid, None)
+        value = _values(t, rid, costs)
+        ranked = _rank(t, rid, cands, value)
+        values = [value[c] for c in ranked]
+        margin = _margin(values)
+        best = ranked[0]
+        # The model-best candidate per strategy family, for the family
+        # arbitration tier (ranked order already applied the tie-break,
+        # so the first hit per family is its best).  Within a family the
+        # *static* model ranks — its §5.6 pricing is exact up to
+        # scheduling, and grains of one family share that scheduling.
+        fam_best: Dict[Optional[str], Cand] = {}
+        for c in ranked:
+            fam_best.setdefault(c[1], c)
+        t.family_best[rid] = fam_best
+        model_value = value
+        if t.calibration is not None:
+            # Calibrated searches re-price the *champion* comparison —
+            # the cross-family gap is exactly where PR 8 measured the
+            # static model to be 2-3x optimistic (strided cyclic
+            # descriptors priced as single messages), and exactly what
+            # the fitted constants absorbed.  The winner, the recorded
+            # model values, and therefore the flip-probe margins below
+            # all speak calibrated prices; within-family ranking and its
+            # near-tie band stay with the static model.
+            t.calibrated[rid] = _priced(t, rid, t.calibration)
+            model_value = _values(t, rid, t.calibrated[rid])
+            if len(fam_best) > 1:
+                champions = _rank(t, rid, fam_best.values(), model_value)
+                best = champions[0]
+                margin = _margin([model_value[c] for c in champions])
+        t.decisions[rid] = RegionDecision(
+            region_id=rid,
+            grain=best[0],
+            how="model",
+            margin=margin,
+            model={_cand_key(*c): model_value[c] for c in cands},
+            partition=best[1],
+        )
+        if margin < t.epsilon:
+            # Candidates within epsilon of the leader go to the profile
+            # tier — except exact structural duplicates: candidates whose
+            # region plans price identically (elapsed, CPU, *and*
+            # messages) emit equivalent transfer schedules (e.g. the §5.6
+            # bound check demoted every grain to fine), so the
+            # deterministic simulator would measure them identically too.
+            # Profiling a duplicate is provably wasted work; the ranked
+            # order already applied the tie-break.  Joint searches
+            # restrict this tier to the *winner's strategy family*: the
+            # model ranks grains reliably within one family, while
+            # cross-family gaps are arbitrated by dedicated flip probes
+            # on the whole-program metric (:func:`_arbitrate`), not by
+            # span attribution.
+            near = [
+                c
+                for c, v in zip(ranked, values)
+                if values[0] <= 0.0
+                or (v - values[0]) / max(v, 1e-30) < t.epsilon
+            ]
+            if t.joint:
+                near = [c for c in near if c[1] == best[1]]
+            near = [
+                c
+                for i, c in enumerate(near)
+                if not any(
+                    costs[c] == costs[h] and value[c] == value[h]
+                    for h in near[:i]
+                )
+            ]
+            if len(near) > 1:
+                t.ambiguous[rid] = near
+
+
+def _profile(t: _Table) -> None:
+    """Profile tier: one instrumented run per candidate rank.  Every
+    ambiguous region switches to its k-th candidate in run k, so the run
+    count is the longest candidate list, not the number of ambiguous
+    regions; the rest of the program keeps its model-best choice."""
+    if not t.ambiguous:
+        return
+    rounds = max(len(c) for c in t.ambiguous.values())
+    measured: Dict[int, Dict[str, float]] = {rid: {} for rid in t.ambiguous}
+    base_grain = t.decisions[t.region_ids[0]].grain
+    for k in range(rounds):
+        gmap, pmap = _assignment(t)
+        probe = {
+            rid: cands[min(k, len(cands) - 1)]
+            for rid, cands in t.ambiguous.items()
+        }
+        for rid, (g, s) in probe.items():
+            gmap[rid] = g
+            if s is not None:
+                pmap[rid] = s
+        rollups = region_rollup(
+            _probe(t, base_grain, gmap, pmap, trace=True).trace
+        )
+        for rid, cand in probe.items():
+            label = _cand_key(*cand)
+            if label in measured[rid]:
+                continue  # short candidate list re-ran its last cand
+            roll = rollups.get(rid)
+            measured[rid][label] = (
+                _measured_value(roll, t.metric) if roll is not None else 0.0
+            )
+    for rid, cands in t.ambiguous.items():
+        vals = measured[rid]
+        best = _rank(
+            t, rid, cands, {c: vals[_cand_key(*c)] for c in cands}
+        )[0]
+        t.decisions[rid] = replace(
+            t.decisions[rid],
+            grain=best[0],
+            how="profile",
+            margin=_margin(sorted(vals.values())),
+            measured=dict(vals),
+            partition=best[1],
+        )
+
+
+def _arbitrate(t: _Table) -> None:
+    """Family arbitration tier (joint searches only).
+
+    The analytic model ranks grains within one strategy family, but its
+    scheduling assumptions (scatter serialization, collect overlap, one
+    message per strided descriptor) bias block and cyclic differently,
+    and unlike the grain axis those biases do not cancel across families
+    — the model can be confidently wrong about block-vs-cyclic.  Span
+    attribution cannot referee either: region rollups double-count
+    collective internals and miss communication deferred past the region
+    span.  So every cross-family choice is measured on the
+    *whole-program* metric: run the plan-so-far once, then flip one
+    region at a time to the rival family's model-best and keep the flip
+    iff it strictly improves the program.  Flip configs usually coincide
+    with uniform variants of the compile tier, so the compile cache
+    makes each probe one timing-mode run.
+    """
+    if not t.joint:
+        return
+    flips: Dict[int, List[Cand]] = {}
+    for rid in t.region_ids:
+        d = t.decisions[rid]
+        win = (d.grain, d.partition)
+        wv = d.model[_cand_key(*win)]
+        for fam, cand in t.family_best[rid].items():
+            if fam == win[1]:
+                continue
+            cv = d.model[_cand_key(*cand)]
+            if t.static[rid][cand] == t.static[rid][win] and cv == wv:
+                continue  # structural duplicates measure identically
+            # The static model's cross-family bias has a *direction*: it
+            # prices a strided cyclic descriptor as one message
+            # (optimistic) and serializes every block scatter
+            # (pessimistic), so it flatters cyclic.  When block wins the
+            # static model by a clear margin despite that handicap, the
+            # verdict is trustworthy; only a cyclic model win (or a
+            # near-tie) needs the measured flip.  A *calibrated* model
+            # fitted that optimism away, so its clear-margin verdicts are
+            # trusted symmetrically: any cross-family loss by >= epsilon
+            # skips its probe.
+            clear = cv > 0.0 and (cv - wv) / cv >= t.epsilon
+            if clear and (
+                t.calibration is not None
+                or (win[1], cand[1]) == ("block", "cyclic")
+            ):
+                continue
+            flips.setdefault(rid, []).append(cand)
+    if not flips:
+        return
+    base_gmap, base_pmap = _assignment(t)
+
+    def program_value(gmap, pmap) -> float:
+        report = _probe(t, gmap[t.region_ids[0]], gmap, pmap)
+        return _report_value(report, t.metric)
+
+    base_val = program_value(base_gmap, base_pmap)
+    for rid in sorted(flips):
+        d = t.decisions[rid]
+        best, best_val = (d.grain, d.partition), base_val
+        vals = dict(d.measured)
+        vals[_cand_key(*best)] = base_val
+        for cand in flips[rid]:
+            val = program_value(
+                {**base_gmap, rid: cand[0]}, {**base_pmap, rid: cand[1]}
+            )
+            vals[_cand_key(*cand)] = val
+            if val < best_val:
+                best, best_val = cand, val
+        t.decisions[rid] = replace(
+            d,
+            grain=best[0],
+            partition=best[1],
+            how="profile",
+            margin=_margin(sorted(vals.values())),
+            measured=vals,
+        )
+
+
+def _compress(t: _Table, backend: Optional[str]) -> TunePlan:
+    """Compress tier: the majority grain becomes the default and the
+    rest override; partition overrides only where the choice disagrees
+    with ``auto``."""
+    chosen = [t.decisions[rid].grain for rid in t.region_ids]
+    default = "fine"
+    if chosen:
+        default = max(
+            GRAINS, key=lambda g: (chosen.count(g), -GRAINS.index(g))
+        )
+    gmap, pmap = _assignment(t)
+    return TunePlan(
+        metric=t.metric,
+        nprocs=t.base.nprocs,
+        backend=backend,
+        default_grain=default,
+        grain_map={r: g for r, g in gmap.items() if g != default},
+        epsilon=t.epsilon,
+        source_sha256=hashlib.sha256(t.source.encode("utf-8")).hexdigest(),
+        decisions=[t.decisions[rid] for rid in t.region_ids],
+        profiles=t.profiles,
+        tune_partition=t.joint,
+        partition_map={
+            r: s for r, s in pmap.items() if s != t.auto_spec.get(r)
+        },
+        calibration_sha256=(
+            t.calibration.sha256() if t.calibration is not None else ""
+        ),
+        evaluated_candidates=t.evaluated,
+        pruned_candidates=t.pruned,
+    )
+
+
 def tune_per_region(
     source: str,
     nprocs: int = 4,
@@ -654,7 +1128,6 @@ def tune_per_region(
     faults=None,
     tune_partition: bool = False,
     calibration=None,
-    static_prune: bool = True,
 ) -> TunePlan:
     """Derive a per-region mixed-grain :class:`TunePlan` for ``source``.
 
@@ -679,35 +1152,24 @@ def tune_per_region(
     plan cache key and the artifact (``calibration_sha256``), keeping
     uncalibrated plans byte-identical to what earlier releases wrote.
 
-    ``static_prune`` (default on) runs the :mod:`repro.tools.check`
-    verifier over every compiled variant before the analytic tier:
-    candidates it proves illegal for a region (RV4xx — e.g. a forced
-    split dimension crossing a carried dependence) are dropped from that
-    region's search, and structural duplicates (identical priced
-    transfer schedules) collapse to one evaluation.  Pruning never
-    changes the chosen plan on statically-legal programs — the artifact
-    is byte-identical either way, which is why the flag stays out of
-    the cache key; the saved work shows in ``evaluated_candidates`` /
-    ``pruned_candidates``.
+    The search runs the tiers of :class:`_Table` in order.  The prune
+    tier drops candidates the :mod:`repro.tools.check` verifier proves
+    illegal for a region (RV4xx) and the price tier collapses structural
+    duplicates to one evaluation; the work saved shows in
+    ``evaluated_candidates`` / ``pruned_candidates``.
 
     Warm calls (``cache_dir`` holds a plan for this exact problem)
     return the cached plan without compiling or profiling anything.
     """
-    from repro.tools.autotune import METRICS
-
-    if metric not in METRICS:
-        raise ValueError(f"metric must be one of {METRICS}, got {metric!r}")
-    if not 0.0 <= epsilon < 1.0:
-        raise ValueError(f"epsilon must be in [0, 1), got {epsilon!r}")
-
-    cal_sha = calibration.sha256() if calibration is not None else ""
-    cacheable = cache_dir is not None and cluster_params is None
+    _check_args(metric, epsilon)
     key = None
-    if cacheable:
+    if cache_dir is not None and cluster_params is None:
         key = plan_cache_key(
             source, backend or "vbus", nprocs, metric, epsilon,
             tune_partition=tune_partition,
-            calibration_sha256=cal_sha,
+            calibration_sha256=(
+                calibration.sha256() if calibration is not None else ""
+            ),
         )
         row = load_row(cache_dir, key)
         if row is not None:
@@ -715,491 +1177,19 @@ def tune_per_region(
             plan.cached = True
             return plan
 
-    params = _resolve_backend(backend, cluster_params, nprocs)
-
-    # 1. Compile every candidate variant; the cost model reads their
-    #    plans.  Grain-only searches compile the three global grains;
-    #    joint searches add the forced-block and forced-cyclic variants
-    #    (strategy ``None`` means "the program default", i.e. auto).
-    strategies: Tuple[Optional[str], ...] = (
-        STRATEGIES if tune_partition else (None,)
-    )
-    programs: Dict[Tuple[str, Optional[str]], object] = {}
-    for s in strategies:
-        for g in GRAINS:
-            kw = {} if s is None else {"partition": s}
-            programs[(g, s)] = compile_source(
-                source, nprocs=nprocs, granularity=g, **kw
-            )
-    region_ids = sorted(programs[(GRAINS[0], strategies[0])].plans)
-    # A forced strategy that demotes regions (PlanError fallback) shifts
-    # region numbering; drop such variants rather than misattribute.
-    candidates = [
-        (g, s)
-        for s in strategies
-        for g in GRAINS
-        if sorted(programs[(g, s)].plans) == region_ids
-    ]
-
-    # Static pruning tier (docs/CHECK.md): before pricing anything, run
-    # the comm-plan verifier over every variant and drop candidates it
-    # proves illegal for a region.  A region where *every* candidate is
-    # illegal keeps the full list — the tuner must still pick something,
-    # and an everywhere-illegal program is 'repro check's verdict to
-    # deliver, not the tuner's.
-    evaluated = 0
-    pruned = 0
-    region_cands: Dict[int, List[Tuple[str, Optional[str]]]] = {
-        rid: candidates for rid in region_ids
-    }
-    if static_prune:
-        from repro.tools.check import bad_region_map
-
-        illegal = {
-            c: frozenset(bad_region_map(programs[c])) for c in candidates
-        }
-        for rid in region_ids:
-            kept = [c for c in candidates if rid not in illegal[c]]
-            if kept and len(kept) < len(candidates):
-                pruned += len(candidates) - len(kept)
-                region_cands[rid] = kept
-
-    # Joint searches price load imbalance: per-strategy iteration-weight
-    # skew, scaled by each region's compute time from one baseline
-    # instrumented profile (the trace-driven part of the model).
-    auto_spec: Dict[int, str] = {}
-    imb: Dict[int, Dict[str, float]] = {rid: {} for rid in region_ids}
-    compute_s: Dict[int, float] = {}
-    profiles = 0
-    if tune_partition:
-        base_prog = compile_source(
-            source, nprocs=nprocs, granularity=GRAINS[0]
-        )
-        loops = _par_loops(base_prog)
-        for rid in region_ids:
-            loop = loops.get(rid)
-            if loop is None:
-                continue
-            auto_spec[rid] = choose_strategy(loop, "auto")
-            imb[rid] = _strategy_imbalance(loop, nprocs)
-        # The imbalance term only matters where block and cyclic *differ*
-        # in skew: a factor common to every strategy shifts all candidates
-        # of a region equally and can never change a ranking.  Workloads
-        # with zero such regions (every nest rectangular, or near-even
-        # owner counts) skip the baseline instrumented profile entirely.
-        skewed = metric != "comm_cpu" and any(
-            factors and max(factors.values()) - min(factors.values()) > 1e-12
-            for factors in imb.values()
-        )
-        if skewed:
-            report = run_program(
-                base_prog,
-                cluster_params=params,
-                execute=False,
-                trace=True,
-                faults=faults,
-            )
-            profiles += 1
-            from repro.obs import region_rollup
-
-            rollups = region_rollup(report.trace)
-            for rid in region_ids:
-                roll = rollups.get(rid)
-                compute_s[rid] = (
-                    max(0.0, roll.elapsed_s - roll.mpi_max_s)
-                    if roll is not None
-                    else 0.0
-                )
-
-    def _pref(rid: int, s: Optional[str]) -> Tuple[int, int]:
-        """Tie-break suffix: prefer the auto strategy, then STRATEGIES
-        order (a no-op for grain-only candidates)."""
-        if s is None:
-            return (0, 0)
-        return (0 if s == auto_spec.get(rid) else 1, STRATEGIES.index(s))
-
-    # 2. Analytic tier: decide regions with a clear model margin.
-    decisions: Dict[int, RegionDecision] = {}
-    ambiguous: Dict[int, List[Tuple[str, Optional[str]]]] = {}
-    model_costs: Dict[int, Dict[Tuple[str, Optional[str]], ModelCost]] = {}
-    family_best: Dict[
-        int, Dict[Optional[str], Tuple[str, Optional[str]]]
-    ] = {}
-    for rid in region_ids:
-        cands = region_cands[rid]
-
-        def _priced(cal=None) -> Dict[Tuple[str, Optional[str]], ModelCost]:
-            """Price every surviving candidate, sharing one ModelCost
-            between structural duplicates when pruning is on."""
-            nonlocal evaluated, pruned
-            out: Dict[Tuple[str, Optional[str]], ModelCost] = {}
-            shared: Dict[tuple, ModelCost] = {}
-            for c in cands:
-                pk = None
-                if static_prune:
-                    pk = _plan_price_key(programs[c].plans[rid])
-                    hit = shared.get(pk)
-                    if hit is not None:
-                        pruned += 1
-                        out[c] = hit
-                        continue
-                cost = region_model_cost(
-                    programs[c].plans[rid], params, calibration=cal
-                )
-                evaluated += 1
-                if pk is not None:
-                    shared[pk] = cost
-                out[c] = cost
-            return out
-
-        costs = _priced()
-        model_costs[rid] = costs
-
-        def _value_of(cost_of) -> Dict[Tuple[str, Optional[str]], float]:
-            out = {}
-            for (g, s) in cands:
-                v = cost_of[(g, s)].metric(metric)
-                if s is not None and metric != "comm_cpu":
-                    v += imb[rid].get(s, 0.0) * compute_s.get(rid, 0.0)
-                out[(g, s)] = v
-            return out
-
-        value = _value_of(costs)
-        ranked = sorted(
-            cands,
-            key=lambda c: (
-                value[c],
-                costs[c].messages,
-                _pref(rid, c[1]),
-                GRAINS.index(c[0]),
-            ),
-        )
-        values = [value[c] for c in ranked]
-        margin = _margin(values)
-        best_g, best_s = ranked[0]
-        # The model-best candidate per strategy family, for the family
-        # arbitration tier below (ranked order already applied the
-        # tie-break, so the first hit per family is its best).  Within a
-        # family the *static* model ranks — its §5.6 pricing is exact up
-        # to scheduling, and grains of one family share that scheduling.
-        fam_best: Dict[Optional[str], Tuple[str, Optional[str]]] = {}
-        for c in ranked:
-            fam_best.setdefault(c[1], c)
-        family_best[rid] = fam_best
-        model_value = value
-        if calibration is not None:
-            # Calibrated searches re-price the *champion* comparison —
-            # the cross-family gap is exactly where PR 8 measured the
-            # static model to be 2-3x optimistic (strided cyclic
-            # descriptors priced as single messages), and exactly what
-            # the fitted constants absorbed.  The winner, the recorded
-            # model values, and therefore the flip-probe margins below
-            # all speak calibrated prices; within-family ranking and
-            # its near-tie band stay with the static model.
-            cal_value = _value_of(_priced(calibration))
-            model_value = cal_value
-            if len(fam_best) > 1:
-                champions = sorted(
-                    fam_best.values(),
-                    key=lambda c: (
-                        cal_value[c],
-                        costs[c].messages,
-                        _pref(rid, c[1]),
-                        GRAINS.index(c[0]),
-                    ),
-                )
-                best_g, best_s = champions[0]
-                margin = _margin([cal_value[c] for c in champions])
-        decision = RegionDecision(
-            region_id=rid,
-            grain=best_g,
-            how="model",
-            margin=margin,
-            model={
-                _cand_key(g, s): model_value[(g, s)]
-                for (g, s) in cands
-            },
-            partition=best_s if tune_partition else None,
-        )
-        decisions[rid] = decision
-        if margin < epsilon:
-            # Candidates within epsilon of the leader go to the profile —
-            # except exact structural duplicates: candidates whose region
-            # plans price identically (elapsed, CPU, *and* messages) emit
-            # equivalent transfer schedules (e.g. the §5.6 bound check
-            # demoted every grain to fine), so the deterministic
-            # simulator would measure them identically too.  Profiling a
-            # duplicate is provably wasted work; the ranked order already
-            # applied the tie-break.  Joint searches restrict this tier
-            # to the *winner's strategy family*: the model ranks grains
-            # reliably within one family, while cross-family gaps are
-            # arbitrated by dedicated flip probes on the whole-program
-            # metric (below), not by span attribution.
-            cands = [
-                c
-                for c, v in zip(ranked, values)
-                if values[0] <= 0.0 or (v - values[0]) / max(v, 1e-30) < epsilon
-            ]
-            if tune_partition:
-                cands = [c for c in cands if c[1] == best_s]
-            cands = [
-                c
-                for i, c in enumerate(cands)
-                if not any(
-                    costs[c] == costs[h] and value[c] == value[h]
-                    for h in cands[:i]
-                )
-            ]
-            if len(cands) > 1:
-                ambiguous[rid] = cands
-
-    # 3. Profile tier: one instrumented run per candidate rank.  Every
-    #    ambiguous region switches to its k-th candidate in run k, so the
-    #    run count is the longest candidate list, not the number of
-    #    ambiguous regions.
-    if ambiguous:
-        rounds = max(len(c) for c in ambiguous.values())
-        measured: Dict[int, Dict[str, float]] = {
-            rid: {} for rid in ambiguous
-        }
-        base_grain = decisions[region_ids[0]].grain if region_ids else "fine"
-        for k in range(rounds):
-            gmap = {
-                rid: decisions[rid].grain for rid in region_ids
-            }  # model-best everywhere...
-            pmap = {
-                rid: decisions[rid].partition
-                for rid in region_ids
-                if decisions[rid].partition is not None
-            }
-            probe = {
-                rid: cands[min(k, len(cands) - 1)]
-                for rid, cands in ambiguous.items()
-            }
-            for rid, (g, s) in probe.items():
-                gmap[rid] = g  # ...except ambiguous regions probe cand k
-                if s is not None:
-                    pmap[rid] = s
-            opts = CompileOptions(
-                nprocs=nprocs,
-                granularity=base_grain,
-                grain_map=gmap,
-                partition_map=pmap or None,
-            )
-            prog = compile_source(source, options=opts)
-            report = run_program(
-                prog,
-                cluster_params=params,
-                execute=False,
-                trace=True,
-                faults=faults,
-            )
-            profiles += 1
-            from repro.obs import region_rollup
-
-            rollups = region_rollup(report.trace)
-            for rid, cand in probe.items():
-                label = _cand_key(*cand)
-                if label in measured[rid]:
-                    continue  # short candidate list re-ran its last cand
-                roll = rollups.get(rid)
-                measured[rid][label] = (
-                    _measured_value(roll, metric) if roll is not None else 0.0
-                )
-        for rid, cands in ambiguous.items():
-            vals = measured[rid]
-            ranked = sorted(
-                cands,
-                key=lambda c: (
-                    vals.get(_cand_key(*c), math.inf),
-                    model_costs[rid][c].messages,
-                    _pref(rid, c[1]),
-                    GRAINS.index(c[0]),
-                ),
-            )
-            ordered = [
-                vals[_cand_key(*c)] for c in ranked if _cand_key(*c) in vals
-            ]
-            best_g, best_s = ranked[0]
-            decisions[rid] = replace(
-                decisions[rid],
-                grain=best_g,
-                how="profile",
-                margin=_margin(ordered),
-                measured=dict(vals),
-                partition=best_s if tune_partition else None,
-            )
-
-    # 3b. Family arbitration tier (joint searches only).  The analytic
-    #     model ranks grains within one strategy family, but its
-    #     scheduling assumptions (scatter serialization, collect
-    #     overlap, one message per strided descriptor) bias block and
-    #     cyclic differently, and unlike the grain axis those biases do
-    #     not cancel across families — the model can be confidently
-    #     wrong about block-vs-cyclic.  Span attribution cannot referee
-    #     either: region rollups double-count collective internals and
-    #     miss communication deferred past the region span.  So every
-    #     cross-family choice is measured on the *whole-program* metric:
-    #     run the plan-so-far once, then flip one region at a time to
-    #     the rival family's model-best and keep the flip iff it
-    #     strictly improves the program.  Flip configs usually coincide
-    #     with uniform variants compiled in step 1, so the compile cache
-    #     makes each probe one value-mode run.
-    if tune_partition:
-        flips: Dict[int, List[Tuple[str, Optional[str]]]] = {}
-        for rid in region_ids:
-            win = (decisions[rid].grain, decisions[rid].partition)
-            model_vals = decisions[rid].model
-            for fam, cand in family_best[rid].items():
-                if fam == win[1]:
-                    continue
-                same = (
-                    model_costs[rid][cand] == model_costs[rid][win]
-                    and model_vals.get(_cand_key(*cand))
-                    == model_vals.get(_cand_key(*win))
-                )
-                if same:  # structural duplicates measure identically
-                    continue
-                # The static model's cross-family bias has a *direction*:
-                # it prices a strided cyclic descriptor as one message
-                # (optimistic) and serializes every block scatter
-                # (pessimistic), so it flatters cyclic.  When block wins
-                # the static model by a clear margin despite that
-                # handicap, the verdict is trustworthy; only a cyclic
-                # model win (or a near-tie) needs the measured flip.  A
-                # *calibrated* model fitted that optimism away, so its
-                # clear-margin verdicts are trusted symmetrically: any
-                # cross-family loss by >= epsilon skips its probe.
-                wv = model_vals.get(_cand_key(*win))
-                cv = model_vals.get(_cand_key(*cand))
-                clear = (
-                    wv is not None
-                    and cv is not None
-                    and cv > 0.0
-                    and (cv - wv) / cv >= epsilon
-                )
-                if calibration is not None:
-                    if clear:
-                        continue
-                elif (
-                    clear
-                    and win[1] is not None
-                    and parse_strategy(win[1])[0] == "block"
-                    and cand[1] is not None
-                    and parse_strategy(cand[1])[0] == "cyclic"
-                ):
-                    continue
-                flips.setdefault(rid, []).append(cand)
-        if flips:
-            def _mixed_report(gmap, pmap):
-                # Normalize so configs that coincide with an
-                # already-compiled variant hit the compile cache: a
-                # partition override equal to the region's auto choice
-                # compiles the same program without the override, and a
-                # grain map with one value is just that granularity.
-                pmap = {
-                    r: s for r, s in pmap.items()
-                    if s != auto_spec.get(r)
-                }
-                g0 = gmap[region_ids[0]]
-                uniform_grain = all(g == g0 for g in gmap.values())
-                opts = CompileOptions(
-                    nprocs=nprocs,
-                    granularity=g0,
-                    grain_map=None if uniform_grain else gmap,
-                    partition_map=pmap or None,
-                )
-                prog = compile_source(source, options=opts)
-                return run_program(
-                    prog, cluster_params=params, execute=False, faults=faults
-                )
-
-            base_gmap = {rid: decisions[rid].grain for rid in region_ids}
-            base_pmap = {
-                rid: decisions[rid].partition
-                for rid in region_ids
-                if decisions[rid].partition is not None
-            }
-            base_val = _report_value(
-                _mixed_report(base_gmap, base_pmap), metric
-            )
-            profiles += 1
-            for rid in sorted(flips):
-                base_key = _cand_key(
-                    decisions[rid].grain, decisions[rid].partition
-                )
-                vals = dict(decisions[rid].measured)
-                vals[base_key] = base_val
-                best_val = base_val
-                best_cand = None
-                for cand in flips[rid]:
-                    gmap = dict(base_gmap)
-                    pmap = dict(base_pmap)
-                    gmap[rid] = cand[0]
-                    if cand[1] is not None:
-                        pmap[rid] = cand[1]
-                    val = _report_value(_mixed_report(gmap, pmap), metric)
-                    profiles += 1
-                    vals[_cand_key(*cand)] = val
-                    if val < best_val:
-                        best_val, best_cand = val, cand
-                ordered = sorted(vals[k] for k in vals)
-                if best_cand is not None:
-                    decisions[rid] = replace(
-                        decisions[rid],
-                        grain=best_cand[0],
-                        partition=best_cand[1],
-                        how="profile",
-                        margin=_margin(ordered),
-                        measured=vals,
-                    )
-                else:
-                    decisions[rid] = replace(
-                        decisions[rid],
-                        how="profile",
-                        margin=_margin(ordered),
-                        measured=vals,
-                    )
-
-    # 4. Compress: majority grain becomes the default, the rest override;
-    #    partition overrides only where the choice disagrees with auto.
-    chosen = [decisions[rid].grain for rid in region_ids]
-    if chosen:
-        default = max(
-            GRAINS, key=lambda g: (chosen.count(g), -GRAINS.index(g))
-        )
-    else:
-        default = "fine"
-    grain_map = {
-        rid: decisions[rid].grain
-        for rid in region_ids
-        if decisions[rid].grain != default
-    }
-    partition_map: Dict[int, str] = {}
-    if tune_partition:
-        partition_map = {
-            rid: decisions[rid].partition
-            for rid in region_ids
-            if decisions[rid].partition is not None
-            and decisions[rid].partition != auto_spec.get(rid)
-        }
-
-    plan = TunePlan(
+    t = _Table(
+        source=source,
+        base=CompileOptions(nprocs=nprocs),
+        params=_resolve_backend(backend, cluster_params, nprocs),
         metric=metric,
-        nprocs=nprocs,
-        backend=backend if cluster_params is None else None,
-        default_grain=default,
-        grain_map=grain_map,
         epsilon=epsilon,
-        source_sha256=hashlib.sha256(source.encode("utf-8")).hexdigest(),
-        decisions=[decisions[rid] for rid in region_ids],
-        profiles=profiles,
-        tune_partition=tune_partition,
-        partition_map=partition_map,
-        calibration_sha256=cal_sha,
-        evaluated_candidates=evaluated,
-        pruned_candidates=pruned,
+        faults=faults,
+        calibration=calibration,
+        strategies=STRATEGIES if tune_partition else (None,),
     )
-    if cacheable:
+    for tier in (_compile, _prune, _price, _profile, _arbitrate):
+        tier(t)
+    plan = _compress(t, backend if cluster_params is None else None)
+    if key is not None:
         store_row(cache_dir, key, plan.to_jsonable())
     return plan

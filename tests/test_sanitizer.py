@@ -2,7 +2,7 @@
 
 The sanitizer is the dynamic cross-check of the static verifier:
 static-clean programs must run sanitizer-clean (the whole-corpus
-version of this contract lives in tools/check_smoke.py), every seeded
+version of this contract lives in tests/test_smoke.py), every seeded
 bug must trip a matching S-code, and installing the probes must never
 change a run's results or its simulated timing.
 """
@@ -74,7 +74,7 @@ def test_every_badprog_trips_a_matching_s_code(fname):
 
 
 def test_static_clean_implies_sanitizer_clean_spotcheck():
-    """The contract the smoke harness asserts corpus-wide, on one
+    """The contract tests/test_smoke.py asserts corpus-wide, on one
     non-trivial variant mix here."""
     for spec, options in [
         ("SWIM-16", {"granularity": "coarse", "partition": "cyclic"}),

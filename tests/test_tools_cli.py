@@ -123,3 +123,32 @@ def test_cli_malformed_artifact_exits_2(mm_file, tmp_path, capsys):
     bad.write_text('{"kind": "calibration"}')
     assert main(["run", mm_file, "--tune-plan", str(bad)]) == 2
     assert "cannot load" in capsys.readouterr().err
+
+
+def _exit_code(argv):
+    try:
+        return main(argv)
+    except SystemExit as exc:  # argparse rejects bad arguments this way
+        return exc.code
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ([cmd, "MM-16", "--nprocs", "0"], "argument --nprocs")
+        for cmd in ("compile", "run", "check", "trace", "autotune")
+    ]
+    + [
+        (["autotune", "MM-16", "--epsilon", "1.5"], "argument --epsilon"),
+        (["autotune", "MM-16", "--epsilon", "1.5", "--per-region"],
+         "argument --epsilon"),
+        (["calibrate", "--nprocs", "0"], "argument --nprocs"),
+        (["calibrate", "--nprocs", "1", "--no-cache"],
+         "repro: calibrate: calibration needs nprocs >= 2"),
+    ],
+)
+def test_cli_bad_arguments_exit_2_without_traceback(argv, message, capsys):
+    assert _exit_code(argv) == 2
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err

@@ -24,7 +24,7 @@ echo "== tier-1 tests (slow whole-program tests excluded) =="
 python -m pytest -x -q -m "not slow"
 
 echo
-echo "== slow whole-program equivalence tests =="
+echo "== slow whole-program tests (equivalence, tuner and checker corpora) =="
 python -m pytest -x -q -m slow
 
 echo
@@ -58,22 +58,6 @@ cmp "$SWEEP_TMP/cold.jsonl" "$SWEEP_TMP/warm.jsonl"
 grep -q "6 cache hit(s)" "$SWEEP_TMP/warm.txt" \
   || { echo "sweep smoke: warm run did not hit the cache"; exit 1; }
 echo "sweep smoke OK (6 jobs, warm run all cache hits, JSONL identical)"
-
-echo
-echo "== autotune smoke (tuned >= best global, warm plan-cache hit) =="
-python tools/autotune_smoke.py
-
-echo
-echo "== partition smoke (mixed-plan wins, digest invariance, cache) =="
-python tools/partition_smoke.py
-
-echo
-echo "== calibrate smoke (fit, warm-cache byte-identity, probe pruning) =="
-python tools/calibrate_smoke.py
-
-echo
-echo "== check smoke (verifier corpus, sanitizer contract, pruning) =="
-python tools/check_smoke.py
 
 echo
 echo "== wall-clock benchmark =="
