@@ -21,7 +21,10 @@ from __future__ import annotations
 
 import os
 import random
+from dataclasses import replace
 from typing import Dict, Optional, Tuple
+
+from repro.vbus.params import BACKENDS, backend_params
 
 __all__ = [
     "BACKENDS",
@@ -38,15 +41,6 @@ class SweepWorkerLost(RuntimeError):
 
 GRANULARITIES = ("fine", "middle", "coarse")
 
-#: Backend name -> ClusterParams preset attribute (resolved lazily so a
-#: forked worker does not pay the import before it needs it).
-BACKENDS = {
-    "vbus": "VBUS_SKWP",
-    "vbus-conventional": "VBUS_CONVENTIONAL",
-    "vbus-wave": "VBUS_WAVE_UNTUNED",
-    "ethernet100": "ETHERNET_100",
-    "gige": "GIGE_SWITCHED",
-}
 
 def parse_workload(spec: str) -> Tuple[str, Optional[int], Optional[int]]:
     """Split a workload spec like ``MM-256`` or ``JACOBI-64x10``.
@@ -78,13 +72,9 @@ def _workload_source(spec: str) -> str:
 
 
 def _cluster_params(config: Dict):
-    from dataclasses import replace
-
-    from repro.vbus import params as P
-
-    base = getattr(P, BACKENDS[config["backend"]])
     return replace(
-        P.cluster_for(config["nprocs"], base), fast_path=config["fast_path"]
+        backend_params(config["backend"], config["nprocs"]),
+        fast_path=config["fast_path"],
     )
 
 

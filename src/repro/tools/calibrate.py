@@ -45,6 +45,7 @@ from repro.sweep.cache import (
     store_row,
 )
 from repro.tools.tuneplan import FEATURES
+from repro.vbus.params import backend_params
 
 __all__ = [
     "SUITE_VERSION",
@@ -310,15 +311,9 @@ def calibrate(
     call returns the cached artifact byte-identically without touching
     the simulator.  ``cache_dir=None`` disables caching.
     """
-    from repro.sweep.runner import BACKENDS
-    from repro.vbus import params as P
-
-    if backend not in BACKENDS:
-        raise ValueError(
-            f"unknown backend {backend!r}; use one of {sorted(BACKENDS)}"
-        )
     if nprocs < 2:
         raise ValueError("calibration needs nprocs >= 2 (no comm otherwise)")
+    params = backend_params(backend, nprocs)
 
     key = calibration_cache_key(backend, nprocs)
     if cache_dir is not None:
@@ -329,7 +324,6 @@ def calibrate(
             except (KeyError, TypeError, ValueError):
                 pass  # a stale/corrupt artifact is a miss; refit below
 
-    params = P.cluster_for(nprocs, getattr(P, BACKENDS[backend]))
     samples: List[Dict] = []
     for name, source, grain, partition in suite_cells():
         cell_key = None

@@ -51,9 +51,9 @@ from repro.obs.export import (
     write_metrics_json,
 )
 from repro.runtime.executor import run_program, run_sequential
-from repro.sweep.runner import BACKENDS
 from repro.tools.autotune import choose_granularity
 from repro.tools.tuneplan import DEFAULT_EPSILON, METRICS
+from repro.vbus.params import BACKENDS, backend_params
 
 __all__ = ["main"]
 
@@ -180,9 +180,7 @@ def _cluster(args):
     """The resized ClusterParams for ``--backend``, or None (default)."""
     if getattr(args, "backend", None) is None:
         return None
-    from repro.vbus import params as P
-
-    return P.cluster_for(args.nprocs, getattr(P, BACKENDS[args.backend]))
+    return backend_params(args.backend, args.nprocs)
 
 
 def _build_parser() -> argparse.ArgumentParser:

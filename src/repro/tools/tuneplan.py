@@ -67,6 +67,7 @@ from repro.sweep.cache import (
     load_row,
     store_row,
 )
+from repro.vbus.params import backend_params
 
 __all__ = [
     "FEATURES",
@@ -644,15 +645,7 @@ def plan_cache_key(
 def _resolve_backend(backend: Optional[str], cluster_params, nprocs: int):
     if cluster_params is not None:
         return cluster_params
-    from repro.sweep.runner import BACKENDS
-    from repro.vbus import params as P
-
-    name = backend if backend is not None else "vbus"
-    if name not in BACKENDS:
-        raise ValueError(
-            f"unknown backend {name!r}; use one of {sorted(BACKENDS)}"
-        )
-    return P.cluster_for(nprocs, getattr(P, BACKENDS[name]))
+    return backend_params(backend if backend is not None else "vbus", nprocs)
 
 
 #: A search candidate: (grain, §5.3 strategy spec).  Strategy ``None``

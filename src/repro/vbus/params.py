@@ -27,6 +27,8 @@ __all__ = [
     "VBUS_WAVE_UNTUNED",
     "ETHERNET_100",
     "GIGE_SWITCHED",
+    "BACKENDS",
+    "backend_params",
 ]
 
 #: Valid link pipelining modes.
@@ -231,3 +233,21 @@ GIGE_SWITCHED = ClusterParams(
         switch_latency_s=5e-6,
     ),
 )
+
+#: Backend name (the CLI/sweep ``backend`` value) -> preset attribute name.
+BACKENDS = {
+    "vbus": "VBUS_SKWP",
+    "vbus-conventional": "VBUS_CONVENTIONAL",
+    "vbus-wave": "VBUS_WAVE_UNTUNED",
+    "ethernet100": "ETHERNET_100",
+    "gige": "GIGE_SWITCHED",
+}
+
+
+def backend_params(name: str, nprocs: int) -> ClusterParams:
+    """The preset for backend ``name``, resized to ``nprocs`` nodes."""
+    if name not in BACKENDS:
+        raise ValueError(
+            f"unknown backend {name!r}; use one of {sorted(BACKENDS)}"
+        )
+    return cluster_for(nprocs, globals()[BACKENDS[name]])

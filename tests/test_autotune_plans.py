@@ -18,9 +18,8 @@ from repro.compiler.postpass.granularity import GRAINS
 from repro.faults.plan import FaultPlan, FaultSpec
 from repro.runtime.executor import run_program
 from repro.sweep.cache import canonical_json
-from repro.sweep.runner import BACKENDS
 from repro.tools.tuneplan import TunePlan, tune_per_region
-from repro.vbus import params as P
+from repro.vbus.params import backend_params
 from repro.workloads import source_for
 
 #: Two parallel regions with opposing grain preferences (see
@@ -32,9 +31,7 @@ JACOBI = source_for("JACOBI-32x3")
 
 
 def _digest(source, options, faults=None, backend="vbus"):
-    params = P.cluster_for(
-        options.nprocs, getattr(P, BACKENDS[backend])
-    )
+    params = backend_params(backend, options.nprocs)
     prog = compile_source(source, options=options)
     rep = run_program(
         prog, cluster_params=params, execute=True, faults=faults
@@ -134,7 +131,7 @@ def test_executor_report_carries_grain_map():
 
 
 def _comm(source, options, backend):
-    params = P.cluster_for(options.nprocs, getattr(P, BACKENDS[backend]))
+    params = backend_params(backend, options.nprocs)
     prog = compile_source(source, options=options)
     return run_program(prog, cluster_params=params, execute=False).comm_max_s
 

@@ -22,7 +22,7 @@ from repro.compiler.pipeline import compile_source
 from repro.runtime.executor import run_program
 from repro.sweep.cache import canonical_json, job_key
 from repro.sweep.grid import SweepConfigError, expand_grid
-from repro.sweep.runner import BACKENDS, run_job
+from repro.sweep.runner import run_job
 from repro.tools.calibrate import CalibratedModel, calibrate
 
 #: The submodule itself — ``repro.tools`` re-exports the ``calibrate``
@@ -30,7 +30,7 @@ from repro.tools.calibrate import CalibratedModel, calibrate
 cal_mod = importlib.import_module("repro.tools.calibrate")
 from repro.tools.cli import main
 from repro.tools.tuneplan import plan_cache_key, tune_per_region
-from repro.vbus import params as P
+from repro.vbus.params import backend_params
 from repro.workloads import synthetic
 
 PXOVER = synthetic.partition_crossover_kernel(16)
@@ -111,7 +111,7 @@ def test_results_invariance_calibrated_vs_uncalibrated():
             calibration=calibration,
         )
         prog = compile_source(PXOVER, options=plan.options())
-        params = P.cluster_for(4, getattr(P, BACKENDS["gige"]))
+        params = backend_params("gige", 4)
         report = run_program(prog, cluster_params=params, execute=True)
         digests.append(report.to_jsonable()["array_digest"])
     assert digests[0] == digests[1]

@@ -23,6 +23,7 @@ from repro.mpi2.exceptions import (
     MpiWatchdogError,
 )
 from repro.runtime.executor import run_program
+from repro.sweep import run_sweep
 from repro.tools.cli import main as cli_main
 from repro.vbus.params import VBUS_SKWP, cluster_for
 from repro.workloads import jacobi, mm
@@ -229,6 +230,81 @@ def test_delay_faults_slow_but_never_corrupt(mm4, params4, clean4):
     assert rep.fault_stats["fault_delays"] > 0
     assert rep.total_s > clean4["mm"].total_s
     _arrays_equal(clean4["mm"], rep)
+
+
+# ---------------------------------------------------------------------------
+# Seeded plans as a sweep axis: every faulted row recovers or is typed
+# ---------------------------------------------------------------------------
+#: One pure-loss plan, one corruption+jitter plan, one availability plan.
+SWEEP_PLANS = {
+    "drop5": FaultPlan(
+        seed=11, specs=(FaultSpec(kind="drop", rate=0.05),), max_sim_s=10.0
+    ),
+    "corrupt+delay": FaultPlan(
+        seed=22,
+        specs=(
+            FaultSpec(kind="corrupt", rate=0.03),
+            FaultSpec(kind="delay", rate=0.2, delay_s=5e-6),
+        ),
+        max_sim_s=10.0,
+    ),
+    "stall+kill": FaultPlan(
+        seed=33,
+        specs=(
+            FaultSpec(kind="stall", node=1, t0=0.0, t1=1e-4),
+            FaultSpec(kind="kill", node=2, at_s=2e-4),
+        ),
+        max_sim_s=10.0,
+    ),
+}
+
+#: (workload, plan) -> pinned outcome: ``recovered`` with the
+#: (dropped, corrupt, retx, stall) counts, or the typed error's name.
+SWEEP_OUTCOMES = {
+    ("JACOBI-16x2", "drop5"): ("recovered", 112, 0, 63, 0),
+    ("JACOBI-16x2", "corrupt+delay"): ("recovered", 0, 56, 42, 0),
+    ("JACOBI-16x2", "stall+kill"): ("fault", "MpiNodeDeadError"),
+    ("MM-12", "drop5"): ("recovered", 307, 0, 42, 0),
+    ("MM-12", "corrupt+delay"): ("recovered", 0, 170, 27, 0),
+    ("MM-12", "stall+kill"): ("fault", "MpiNodeDeadError"),
+}
+
+
+def _sweep_outcome(row, clean_digest):
+    if row["status"] != "ok":
+        return (row["status"], row["error"]["type"])
+    res = row["result"]
+    if res["array_digest"] != clean_digest:
+        return ("corrupted",)
+    fs = res["fault_stats"]
+    return ("recovered",) + tuple(
+        int(fs.get(f"fault_{key}", 0))
+        for key in ("dropped_flits", "corrupt_flits", "retx_rounds", "stalls")
+    )
+
+
+def test_seeded_fault_sweep_recovers_or_raises_typed():
+    docs = {name: json.loads(p.to_json()) for name, p in SWEEP_PLANS.items()}
+    grid = {
+        "name": "chaos",
+        "axes": {
+            "workload": ["JACOBI-16x2", "MM-12"],
+            # null is the fault-free control each faulted row is held to.
+            "faults": [None] + list(docs.values()),
+        },
+        "defaults": {"nprocs": 4, "granularity": "coarse", "execute": True},
+    }
+    # Uncached: replayed rows would stop exercising the fault layer.
+    rows = run_sweep(grid, cache_dir=None).rows
+    clean = {r["workload"]: r for r in rows if r["faults"] is None}
+    assert [r["status"] for r in clean.values()] == ["ok", "ok"]
+    got = {}
+    for row in rows:
+        if row["faults"] is not None:
+            (plan,) = [n for n, d in docs.items() if d == row["faults"]]
+            digest = clean[row["workload"]]["result"]["array_digest"]
+            got[row["workload"], plan] = _sweep_outcome(row, digest)
+    assert got == SWEEP_OUTCOMES
 
 
 # ---------------------------------------------------------------------------

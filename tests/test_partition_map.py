@@ -19,9 +19,8 @@ from repro.compiler.postpass.partition import STRATEGIES, PartitionError
 from repro.faults.plan import FaultPlan, FaultSpec
 from repro.runtime.executor import run_program
 from repro.sweep.cache import canonical_json
-from repro.sweep.runner import BACKENDS
 from repro.tools.tuneplan import TunePlan, tune_per_region
-from repro.vbus import params as P
+from repro.vbus.params import backend_params
 from repro.workloads import source_for
 
 #: Triangular accumulation + rectangular stencil with opposing §5.3
@@ -34,7 +33,7 @@ FAULTS = FaultPlan(
 
 
 def _run(source, options, backend="vbus", faults=None, execute=True):
-    params = P.cluster_for(options.nprocs, getattr(P, BACKENDS[backend]))
+    params = backend_params(backend, options.nprocs)
     prog = compile_source(source, options=options)
     return run_program(
         prog, cluster_params=params, execute=execute, faults=faults
@@ -370,7 +369,7 @@ def test_rollup_reports_net_mpi_time():
         execute=False,
     )
     prog = compile_source(PXOVER, options=CompileOptions(nprocs=4))
-    params = P.cluster_for(4, getattr(P, BACKENDS["gige"]))
+    params = backend_params("gige", 4)
     traced = run_program(
         prog, cluster_params=params, execute=False, trace=True
     )

@@ -22,10 +22,9 @@ from repro.compiler.pipeline import CompileOptions, compile_source
 from repro.compiler.postpass.granularity import GRAINS
 from repro.faults import FaultPlan, FaultSpec
 from repro.runtime.executor import run_program
-from repro.sweep.runner import BACKENDS
 from repro.tools.check import check_source
 from repro.tools.tuneplan import tune_per_region
-from repro.vbus import params as P
+from repro.vbus.params import backend_params
 from repro.workloads import source_for
 
 pytestmark = pytest.mark.slow
@@ -42,7 +41,7 @@ FAULTS = FaultPlan(
 
 
 def _run(source, options, backend, **kw):
-    params = P.cluster_for(options.nprocs, getattr(P, BACKENDS[backend]))
+    params = backend_params(backend, options.nprocs)
     prog = compile_source(source, options=options)
     return run_program(prog, cluster_params=params, **kw)
 

@@ -28,6 +28,7 @@ from repro.sweep import (
     summary_table,
     write_jsonl,
 )
+from repro.tools.cli import main as cli_main
 
 #: Small but non-trivial: 2 workloads x 2 nprocs, sub-second serially.
 GRID = {
@@ -174,6 +175,28 @@ def test_killed_worker_yields_typed_row_without_corrupting_sweep(tmp_path):
     assert warm.hits == 2 and warm.misses == 1
     # The summary renders the error detail.
     assert "SweepWorkerLost" in summary_table(result)
+
+
+# ----------------------------------------------------------------- CLI
+
+
+def test_cli_sweep_warm_run_is_all_cache_hits(tmp_path, capsys):
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({
+        "name": "cli",
+        "axes": {
+            "workload": ["MM-16", "JACOBI-8x2", "CFFZINIT-5"],
+            "nprocs": [2, 4],
+        },
+        "defaults": {"granularity": "coarse"},
+    }))
+    common = [str(grid), "--quiet", "--cache-dir", str(tmp_path / "cache")]
+    cold, warm = tmp_path / "cold.jsonl", tmp_path / "warm.jsonl"
+    assert cli_main(["sweep", *common, "--jobs", "2", "-o", str(cold)]) == 0
+    assert "6 job(s): 0 cache hit(s)" in capsys.readouterr().out
+    assert cli_main(["sweep", *common, "-o", str(warm)]) == 0
+    assert "6 job(s): 6 cache hit(s)" in capsys.readouterr().out
+    assert _read(str(cold)) == _read(str(warm))
 
 
 # ------------------------------------------------------------ backends

@@ -5,7 +5,8 @@ the tuner's external contract, independent of which tier decided it:
 the plan is *valid* (region ids exist in the compiled program, grains
 and §5.3 strategy specs parse), its cache key is *stable* and derivable
 by hand from the documented fields, and a ``--tune-partition`` plan
-never measures worse than either uniform strategy on a healthy run.
+never measures worse than any uniform grain x strategy variant on a
+healthy run.
 Fault plans perturb the tuner's profile timings, never its contract —
 the faulted cells pin exactly that.
 """
@@ -21,9 +22,8 @@ from repro.compiler.postpass.partition import STRATEGIES, parse_strategy
 from repro.faults.plan import FaultPlan, FaultSpec
 from repro.runtime.executor import run_program
 from repro.sweep.cache import job_key
-from repro.sweep.runner import BACKENDS
 from repro.tools.tuneplan import plan_cache_key, tune_per_region
-from repro.vbus import params as P
+from repro.vbus.params import backend_params
 from repro.workloads import source_for, synthetic
 
 WORKLOADS = ("XOVER-48", "MM-24", "PXOVER-24")
@@ -46,7 +46,7 @@ MATRIX = [
 
 
 def _comm(src, options, backend):
-    params = P.cluster_for(options.nprocs, getattr(P, BACKENDS[backend]))
+    params = backend_params(backend, options.nprocs)
     prog = compile_source(src, options=options)
     return run_program(prog, cluster_params=params, execute=False).comm_max_s
 
@@ -87,16 +87,21 @@ def test_plan_is_valid_and_never_loses_to_uniform(spec, backend, faults):
     # The plan compiles: the ultimate validity check.
     compile_source(src, options=plan.options())
 
-    # Oracle: the joint plan never measures worse than either uniform
-    # strategy (healthy runs — faults only ever perturbed the search).
+    # Oracle: the joint plan never measures worse than any uniform
+    # grain x strategy variant (healthy runs — faults only ever
+    # perturbed the search).
     tuned = _comm(src, plan.options(), backend)
-    for strategy in STRATEGIES:
-        uniform = _comm(
-            src, CompileOptions(nprocs=4, partition=strategy), backend
-        )
-        assert tuned <= uniform * (1 + 1e-9), (
-            f"tuned plan loses to uniform {strategy} on {spec}/{backend}"
-        )
+    for grain in GRAINS:
+        for strategy in STRATEGIES:
+            uniform = _comm(
+                src,
+                CompileOptions(nprocs=4, granularity=grain, partition=strategy),
+                backend,
+            )
+            assert tuned <= uniform * (1 + 1e-9), (
+                f"tuned plan loses to uniform {grain}/{strategy} on "
+                f"{spec}/{backend}"
+            )
 
 
 @pytest.mark.parametrize("spec,backend,faults", [MATRIX[0], MATRIX[-1]])
