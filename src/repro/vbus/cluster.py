@@ -21,7 +21,7 @@ from repro.vbus.ethernet import EthernetNetwork
 from repro.vbus.host import Host
 from repro.vbus.mesh import MeshTopology
 from repro.vbus.nic import Nic, RECV_OVERHEAD_S, TransferReceipt
-from repro.vbus.fastpath import start_fast_leg
+from repro.vbus.fastpath import start_fast_leg, start_leg
 from repro.vbus.params import ClusterParams, VBUS_SKWP, cluster_for
 from repro.vbus.router import WormholeMesh
 from repro.vbus.signal import bandwidth_Bps
@@ -192,7 +192,8 @@ class Cluster:
         Blocks the caller only for the CPU-occupied phase — message-queue
         enqueue plus either DMA descriptor programming (contiguous) or the
         full per-element programmed-I/O copy (strided).  The wire/DMA
-        streaming leg runs as a background process; the returned
+        streaming leg runs in the background (an analytic or queued leg
+        on the fast path, else a process); the returned
         ``(cpu_s, completion)`` pair lets the window layer overlap it with
         computation until the next fence.  This is the paper's "data from
         the user buffer can be copied ... without interrupting the
@@ -240,7 +241,7 @@ class Cluster:
             if fast:
                 # The stepwise wire process releases the DMA engine in its
                 # ``finally`` — after the receive tail — so hook it there.
-                completion = start_fast_leg(
+                completion = start_leg(
                     self.mesh, src, dst, nbytes,
                     self.params.nic.dma_rate_Bps, RECV_OVERHEAD_S,
                     at_tail=nic._dma.release,
@@ -270,7 +271,7 @@ class Cluster:
             nic.pio_elements += elements
 
             if fast:
-                completion = start_fast_leg(
+                completion = start_leg(
                     self.mesh, src, dst, nbytes, None, RECV_OVERHEAD_S
                 )
             if completion is None:

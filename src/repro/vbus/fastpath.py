@@ -25,15 +25,29 @@ Exactness argument (the equivalence suite in
   ``now`` is observationally identical to acquiring it hop by hop.
   Single-hop legs are exempt: their claim point coincides exactly with
   the stepwise acquire.
-* A leg that misses the claim-time proof is not lost: the stepwise
-  path re-attempts the proof at every hop boundary (and once more just
-  before body streaming) via :func:`try_promote`.  The claim point of
-  hop *k* is an event boundary, so the same guard applies to the
+* A leg that misses the claim-time proof is not lost: it advances hop
+  by hop and re-attempts the proof at every hop boundary (and once more
+  just before body streaming) via :func:`try_promote`.  The claim point
+  of hop *k* is an event boundary, so the same guard applies to the
   remaining sub-path — the already-held hops stay held either way, and
   the promoted remainder uses the identical claim-time float sequence
   the stepwise loop would have produced.  Promotions are counted in
   ``mesh.fast_promotions``; claim-time misses are broken down by cause
   in ``mesh.fast_fallback_{injector,frozen,peek,busy}``.
+* A contended one-sided leg (:func:`start_leg`, used by
+  ``Cluster.rma_start``) advances as a :class:`_QueuedLeg`: kernel
+  callbacks, not a generator process, but the *same events* — same
+  timestamps, priorities and scheduling order — as the stepwise
+  ``rma-wire`` process: its URGENT start, per hop the channel grant,
+  the ``router_delay_s`` timer and the NORMAL wake of the ``AnyOf``, the
+  promotion attempts, the body, the receive-tail timer, then completion.
+  Freezes act on it exactly as on
+  :meth:`~repro.vbus.vbusctl.FreezeDomain.interruptible_delay`: each
+  wait's wake sits on the domain's ``_freeze_event`` in the ``AnyOf``'s
+  slot, a frozen wait serves its remainder after the thaw, and a grant
+  while frozen waits on ``_thaw_event``.  With identical heap entries,
+  every later decision (``sim.peek`` guards included) is identical too.
+  Fault plans keep the process: :func:`start_leg` returns ``None``.
 * A freeze *can* still land inside the last head hop or the body
   stream (those lie beyond the guard window).  The
   :class:`~repro.vbus.vbusctl.FreezeDomain` keeps a ledger of live fast
@@ -61,10 +75,9 @@ from __future__ import annotations
 
 from typing import Callable, List, Optional
 
-from repro.sim.kernel import Event
-from repro.vbus.flit import flit_count
+from repro.sim.kernel import URGENT, Event
 
-__all__ = ["start_fast_leg", "try_promote"]
+__all__ = ["start_fast_leg", "start_leg", "try_promote"]
 
 
 class _FastLeg:
@@ -129,23 +142,14 @@ class _FastLeg:
         self.done.succeed()
 
     def _release_channels(self) -> None:
-        for ch in reversed(self.channels):
+        channels = self.channels
+        for ch in reversed(channels):
             ch.release()
-        mesh = self.mesh
-        mesh.messages += 1
-        mesh.bytes += self.nbytes
-        mesh.flits += flit_count(self.nbytes, mesh.link.width_bits)
-        tr = self.sim.tracer
-        if tr is not None:
-            # Same span the stepwise unicast records: injection → wire end.
-            src = self.channels[0].u
-            dst = self.channels[-1].v
-            tr.span(
-                ("node", src), f"wire {src}->{dst}", self.span_t0,
-                args={"bytes": self.nbytes, "hops": len(self.channels)},
-            )
-            tr.count("mesh.messages")
-            tr.count("mesh.bytes", self.nbytes, "B")
+        # Same stats and span the stepwise unicast records at wire end.
+        self.mesh.count_leg(
+            channels[0].u, channels[-1].v, self.nbytes, len(channels),
+            self.span_t0,
+        )
         if self.at_release is not None:
             self.at_release()
 
@@ -190,6 +194,163 @@ class _FastLeg:
         if self.at_tail is not None:
             self.at_tail()
         self.done.succeed()
+
+
+class _QueuedLeg:
+    """A contended wire leg driven by kernel callbacks instead of a process.
+
+    Event-for-event mirror of the ``rma-wire`` process ``Cluster.rma_start``
+    runs without the fast path: :meth:`WormholeMesh.unicast`, the
+    receive-tail timeout, then ``at_tail``.  Every kernel event that
+    process schedules is scheduled here too — same time, same priority,
+    same point in the scheduling order — so ``sim.events``, the heap tie
+    order and every result stay identical.  Only the generator frames,
+    the ``Process`` and the per-wait ``AnyOf`` objects are gone:
+
+    * the URGENT start event is the process's ``_Initialize``;
+    * each hop is a channel grant, then an interruptible ``router_delay``
+      wait; :func:`try_promote` runs at the same hop boundaries;
+    * each interruptible wait is a timer plus a wake registered on the
+      domain's ``_freeze_event`` in the slot the ``AnyOf`` would take; the
+      first of the two schedules a NORMAL wake event at ``now`` (the
+      ``AnyOf`` firing), and the wake runs the code the resumed generator
+      would run.  A freeze-woken wait serves its remainder after the thaw
+      with ``interruptible_delay``'s arithmetic, and a frozen domain
+      parks the leg on ``_thaw_event`` as ``wait_thaw`` does.
+    """
+
+    __slots__ = (
+        "mesh",
+        "sim",
+        "domain",
+        "path",
+        "nbytes",
+        "rate_cap_Bps",
+        "tail_s",
+        "at_tail",
+        "done",
+        "t0",
+        "k",
+        "then",
+        "remaining",
+        "started",
+        "timer",
+        "timer_won",
+        "woken",
+        "freeze_ev",
+    )
+
+    def __init__(self, mesh, src, dst, nbytes, rate_cap_Bps, tail_s, at_tail):
+        sim = mesh.sim
+        self.mesh = mesh
+        self.sim = sim
+        self.domain = mesh.domain
+        self.path = mesh.channel_path(src, dst)
+        self.nbytes = nbytes
+        self.rate_cap_Bps = rate_cap_Bps
+        self.tail_s = tail_s
+        self.at_tail = at_tail
+        #: The caller-visible completion event (the process's own event).
+        self.done = Event(sim)
+        self.timer = None
+        # What ``Process.__init__`` schedules: an URGENT kick at ``now``.
+        start = Event(sim)
+        start._value = None
+        start._cb1 = self._start
+        sim._schedule(start, priority=URGENT)
+
+    # -- the unicast walk ----------------------------------------------------
+    def _start(self, _ev) -> None:
+        self.t0 = self.sim.now
+        self.k = 0
+        self.path[0].acquire()._add_cb(self._on_grant)
+
+    def _on_grant(self, _ev) -> None:
+        self.path[self.k].on_acquired()
+        self._delay(self.mesh.link.router_delay_s, self._on_hop)
+
+    def _on_hop(self) -> None:
+        """Head flit through hop ``k``: promote, or claim the next hop."""
+        self.k = k = self.k + 1
+        promoted = try_promote(
+            self.mesh, self.path, k, self.t0, self.nbytes, self.rate_cap_Bps
+        )
+        if promoted is not None:
+            # The analytic leg owns the whole path and accounts for it.
+            promoted._add_cb(self._on_wire_end)
+        elif k < len(self.path):
+            self.path[k].acquire()._add_cb(self._on_grant)
+        else:
+            rate = self.mesh.link_rate_Bps
+            if self.rate_cap_Bps is not None:
+                rate = min(rate, self.rate_cap_Bps)
+            self._delay(self.nbytes / rate, self._on_body)
+
+    def _on_body(self) -> None:
+        path = self.path
+        for ch in reversed(path):
+            ch.release()
+        self.mesh.count_leg(
+            path[0].u, path[-1].v, self.nbytes, len(path), self.t0
+        )
+        self._on_wire_end(None)
+
+    def _on_wire_end(self, _ev) -> None:
+        # ``yield sim.timeout(tail_s)``: fires at ``now + tail_s``.
+        self.sim.pooled_timeout_at(self.sim.now + self.tail_s, self._on_tail)
+
+    def _on_tail(self, _ev) -> None:
+        if self.at_tail is not None:
+            self.at_tail()
+        self.done.succeed()
+
+    # -- FreezeDomain.interruptible_delay, unrolled into callbacks ----------
+    def _delay(self, duration: float, then) -> None:
+        self.remaining = duration
+        self.then = then
+        self._wait()
+
+    def _wait(self, _ev=None) -> None:
+        """The loop head: park while frozen, else arm timer + freeze wake."""
+        domain = self.domain
+        if domain.frozen:
+            domain._thaw_event._add_cb(self._wait)
+            return
+        if self.remaining <= 0:
+            self.then()
+            return
+        sim = self.sim
+        self.started = now = sim.now
+        self.timer_won = False
+        self.woken = False
+        # ``sim.timeout(remaining)`` schedules at ``now + remaining``.
+        self.timer = sim.pooled_timeout_at(now + self.remaining, self._on_timer)
+        self.freeze_ev = domain._freeze_event
+        self.freeze_ev._add_cb(self._check)
+
+    def _on_timer(self, ev) -> None:
+        if ev is not self.timer:
+            return  # outlived by a freeze: the AnyOf's late no-op check
+        self.timer_won = True
+        if not self.woken:
+            self.woken = True
+            self.sim.pooled_timeout_at(self.sim.now, self._on_wake)
+
+    def _check(self, _ev) -> None:
+        """The freeze's AnyOf check: wake unless the timer already did."""
+        if not self.woken:
+            self.woken = True
+            self.sim.pooled_timeout_at(self.sim.now, self._on_wake)
+
+    def _on_wake(self, _ev) -> None:
+        """The resumed generator: done if the timer fired, else re-wait."""
+        if self.timer_won:
+            self.freeze_ev._remove_cb(self._check)
+            self.then()
+            return
+        self.timer = None
+        self.remaining -= self.sim.now - self.started
+        self._wait()
 
 
 def start_fast_leg(
@@ -331,3 +492,30 @@ def try_promote(
         nbytes, None, None, span_t0=span_t0,
     )
     return leg.done
+
+
+def start_leg(
+    mesh,
+    src: int,
+    dst: int,
+    nbytes: int,
+    rate_cap_Bps: Optional[float],
+    tail_s: float,
+    at_tail: Optional[Callable[[], None]] = None,
+) -> Optional[Event]:
+    """Start a ``src → dst`` wire leg plus receive tail without a process.
+
+    An analytic leg (:func:`start_fast_leg`) when the claim-time proof
+    holds, else a callback-driven :class:`_QueuedLeg` that reproduces the
+    stepwise leg event for event.  Returns the completion event, or
+    ``None`` under an active fault plan — faulty legs stay stepwise.
+    """
+    done = start_fast_leg(
+        mesh, src, dst, nbytes, rate_cap_Bps, tail_s, at_tail=at_tail
+    )
+    if done is not None:
+        return done
+    inj = mesh.injector
+    if inj is not None and inj.active:
+        return None
+    return _QueuedLeg(mesh, src, dst, nbytes, rate_cap_Bps, tail_s, at_tail).done

@@ -206,6 +206,17 @@ class WormholeMesh:
         if promoted is not None:
             yield promoted
             return self.sim.now - t0
+        self.count_leg(src, dst, nbytes, len(path), t0)
+        return self.sim.now - t0
+
+    def count_leg(
+        self, src: int, dst: int, nbytes: int, hops: int, t0: float
+    ) -> None:
+        """Account one finished wire leg: stats and the ``wire`` span.
+
+        Every leg flavour (stepwise, analytic, queued) calls this at wire
+        end, after releasing its path, so the counters and traces agree.
+        """
         self.messages += 1
         self.bytes += nbytes
         self.flits += flit_count(nbytes, self.link.width_bits)
@@ -213,8 +224,7 @@ class WormholeMesh:
         if tr is not None:
             tr.span(
                 ("node", src), f"wire {src}->{dst}", t0,
-                args={"bytes": nbytes, "hops": len(path)},
+                args={"bytes": nbytes, "hops": hops},
             )
             tr.count("mesh.messages")
             tr.count("mesh.bytes", nbytes, "B")
-        return self.sim.now - t0

@@ -100,8 +100,12 @@ class FreezeDomain:
             started = self.sim.now
             timeout = self.sim.timeout(remaining)
             freeze_ev = self._freeze_event
-            yield AnyOf(self.sim, [timeout, freeze_ev])
+            wake = AnyOf(self.sim, [timeout, freeze_ev])
+            yield wake
             if timeout.processed:
+                # The timer won: detach from the shared freeze event, or a
+                # dead no-op check would sit on it until the next freeze.
+                freeze_ev._remove_cb(wake._check)
                 return
             remaining -= self.sim.now - started
 

@@ -8,11 +8,14 @@ No tolerances: the fast path reproduces the oracle's floating-point
 arithmetic operation by operation.
 """
 
+import math
 from dataclasses import replace
 
 import pytest
 
-from repro.sim import AllOf, Simulator
+from repro.sim import AllOf, AnyOf, Process, Simulator
+from repro.vbus import cluster as cluster_mod
+from repro.vbus import fastpath
 from repro.vbus.cluster import Cluster
 from repro.vbus.params import VBUS_SKWP
 
@@ -39,9 +42,9 @@ def _snapshot(cluster, records):
     }
 
 
-def _run(params, scenario):
+def _run(params, scenario, sim=None):
     """Run ``scenario(cluster, records)`` -> list of (name, generator)."""
-    sim = Simulator()
+    sim = sim or Simulator()
     cluster = Cluster(sim, params)
     records = []
 
@@ -252,6 +255,69 @@ def test_program_equivalence_cffzinit():
     assert fast.total_s == slow.total_s
 
 
+def _wire_and_held(report):
+    """Trace spans of wire legs and channel occupancy, order-free."""
+    spans = [
+        (track, name, t0, dur, repr(args))
+        for track, name, t0, dur, args in report.trace.spans
+        if name == "held" or name.startswith("wire ")
+    ]
+    return sorted(spans)
+
+
+def _channel_usage(report):
+    """Per-channel (messages, busy_s) from the traced run's metric rows."""
+    rows = {row["name"]: row["value"] for row in report.metrics_rows}
+    return {
+        name: (value, rows[name.replace("messages", "busy_s")])
+        for name, value in rows.items()
+        if name.startswith("channel.messages")
+    }
+
+
+def test_program_equivalence_mm_collect_hotspot_16_ranks():
+    """MM-64 x 16 ranks on a 4x4 mesh: every slave puts its block back to
+    the master, so the channels into node 0 queue hundreds of legs."""
+    from repro.compiler.pipeline import compile_source
+    from repro.runtime.executor import run_program
+    from repro.workloads import mm
+
+    prog = compile_source(mm.source(64), nprocs=16)
+    slow = run_program(
+        prog, cluster_params=_params(4, 4, False), execute=False, trace=True
+    )
+    fast = run_program(
+        prog, cluster_params=_params(4, 4, True), execute=False, trace=True
+    )
+    assert fast.hw["fast_fallbacks"] > 800
+    assert fast.total_s == slow.total_s
+    fast_hw = {k: v for k, v in fast.hw.items() if not _is_fast_key(k)}
+    slow_hw = {k: v for k, v in slow.hw.items() if not _is_fast_key(k)}
+    assert fast_hw == slow_hw
+    usage = _channel_usage(fast)
+    assert len(usage) == 48  # directed channels of a 4x4 mesh
+    assert usage == _channel_usage(slow)
+    assert _wire_and_held(fast) == _wire_and_held(slow)
+
+
+@pytest.mark.slow
+def test_mm_vbus_benchmark_pin():
+    """The benchmark's mm-vbus pin (MM-512 x 16: fast path == stepwise
+    oracle, checked inside ``pin()``) still matches expect.json."""
+    import sys
+    from pathlib import Path
+
+    perf = Path(__file__).resolve().parent.parent / "benchmarks" / "perf"
+    sys.path.insert(0, str(perf))
+    from suite import WORKLOADS
+    from worker import build, load_expect, pin
+
+    workload = WORKLOADS["mm-vbus"]
+    pins = pin(workload, build(workload))
+    expect = load_expect()
+    assert pins == {key: expect[key] for key in pins}
+
+
 # ---------------------------------------------------------------------------
 # Fast-path bookkeeping
 # ---------------------------------------------------------------------------
@@ -338,3 +404,230 @@ def test_empty_fault_plan_keeps_fast_path():
     proc = sim.process(cluster.transfer(0, 1, 4096))
     sim.run(until=proc)
     assert cluster.mesh.fast_legs == 1
+
+
+# ---------------------------------------------------------------------------
+# Queued legs: contended RMA legs driven by callbacks, not processes
+# ---------------------------------------------------------------------------
+#: Bytes/elements of each collect put, and puts per origin rank.
+COLLECT_BYTES = 2048
+COLLECT_PUTS = 2
+
+#: Where a freeze lands in the collect hotspot (see ``_hotspot``).
+FREEZES = ["none", "queue", "head", "inject", "short"]
+
+
+def _collect_scenario(contiguous, bcast_at=None, freeze=None):
+    """Ranks 1..15 of a 4x4 mesh each put twice to rank 0 at once (the
+    master/slave collect hotspot).  Optionally rank 0 starts a hardware
+    broadcast at ``bcast_at``, or the domain freezes directly for
+    ``freeze = (at, seconds)``."""
+
+    def scenario(cluster, records):
+        sim = cluster.sim
+
+        def origin(rank):
+            pending = []
+            for _ in range(COLLECT_PUTS):
+                _cpu, done = yield from cluster.rma_start(
+                    rank, 0, COLLECT_BYTES, elements=COLLECT_BYTES // 8,
+                    contiguous=contiguous,
+                )
+                pending.append(done)
+            live = [p for p in pending if not p.triggered]
+            if live:
+                yield AllOf(sim, live)
+            return sim.now
+
+        jobs = [(f"put{r}", origin(r)) for r in range(1, cluster.nprocs)]
+        if bcast_at is not None:
+
+            def bcast():
+                yield sim.timeout(bcast_at)
+                r = yield from cluster.hw_broadcast(0, 4096)
+                return r
+
+            jobs.append(("bcast", bcast()))
+        if freeze is not None:
+
+            def freezer():
+                yield sim.timeout_at(freeze[0])
+                cluster.domain.freeze()
+                yield sim.timeout(freeze[1])
+                cluster.domain.thaw()
+
+            jobs.append(("freezer", freezer()))
+        return jobs
+
+    return scenario
+
+
+def _bcast_start_for_freeze_at(t_freeze):
+    """The broadcast start whose freeze lands exactly at ``t_freeze``.
+
+    Rank 0's NIC is idle, so its broadcast freezes the mesh after the
+    software setup and DMA programming: at ``(t + setup) + dma_setup``.
+    Nudge ``t`` by ulps until that float sum hits ``t_freeze`` exactly.
+    """
+    nic = VBUS_SKWP.nic
+    setup, dma = nic.setup_shared_queue_s, nic.dma_setup_s
+    t = max(0.0, t_freeze - setup - dma)
+    for _ in range(64):
+        got = (t + setup) + dma
+        if got == t_freeze:
+            return t
+        t = math.nextafter(t, math.inf if got < t_freeze else -math.inf)
+    raise AssertionError(f"no broadcast start freezes at {t_freeze!r}")
+
+
+def _first_put_injection(contiguous):
+    """When every origin's first put reaches the wire (all start at 0)."""
+    nic = VBUS_SKWP.nic
+    setup = nic.setup_shared_queue_s
+    if contiguous:
+        return (0.0 + setup) + nic.dma_setup_s
+    pio = nic.pio_setup_s + (COLLECT_BYTES // 8) * nic.pio_per_element_s
+    return (0.0 + setup) + pio
+
+
+def _queued_grants(scenario, monkeypatch):
+    """Channel-grant times of queued legs in a fast run of ``scenario``."""
+    grants = []
+    on_grant = fastpath._QueuedLeg._on_grant
+
+    def spy(leg, ev):
+        grants.append(leg.sim.now)
+        on_grant(leg, ev)
+
+    with monkeypatch.context() as m:
+        m.setattr(fastpath._QueuedLeg, "_on_grant", spy)
+        _run(_params(4, 4, True), scenario)
+    return grants
+
+
+def _hotspot(contiguous, where, monkeypatch):
+    """The collect hotspot with a freeze landing ``where``:
+
+    * ``queue`` — a broadcast while legs wait in a channel queue (10 us
+      after the first puts inject, one leg streams and the rest queue);
+    * ``head`` — a broadcast inside a queued leg's head hop;
+    * ``inject`` — a broadcast at the first puts' injection instant (the
+      second puts then inject into the frozen domain);
+    * ``short`` — a direct freeze inside a queued head hop that thaws
+      before the hop's timer would have fired.
+    """
+    if where == "none":
+        return _collect_scenario(contiguous)
+    t_inject = _first_put_injection(contiguous)
+    if where == "queue":
+        return _collect_scenario(
+            contiguous, _bcast_start_for_freeze_at(t_inject + 10e-6)
+        )
+    if where == "inject":
+        return _collect_scenario(
+            contiguous, _bcast_start_for_freeze_at(t_inject)
+        )
+    rd = VBUS_SKWP.link.router_delay_s
+    grant = _queued_grants(_collect_scenario(contiguous), monkeypatch)[4]
+    if where == "head":
+        return _collect_scenario(
+            contiguous, _bcast_start_for_freeze_at(grant + rd / 2)
+        )
+    assert where == "short"
+    return _collect_scenario(contiguous, freeze=(grant + rd / 2, rd / 4))
+
+
+@pytest.mark.parametrize("where", FREEZES)
+@pytest.mark.parametrize("contiguous", [True, False])
+def test_collect_hotspot_queued_legs(contiguous, where, monkeypatch):
+    scenario = _hotspot(contiguous, where, monkeypatch)
+    freeze_wakes = []
+    on_wake = fastpath._QueuedLeg._on_wake
+
+    def spy(leg, ev):
+        if not leg.timer_won:
+            freeze_wakes.append(leg.sim.now)
+        on_wake(leg, ev)
+
+    monkeypatch.setattr(fastpath._QueuedLeg, "_on_wake", spy)
+    assert_equivalent(4, 4, scenario)
+    if where in ("head", "short"):
+        assert freeze_wakes  # the freeze did cut a queued leg's head hop
+
+
+def _wakes(event):
+    """Who a popped event wakes; every step of a wire leg reads ``leg``."""
+    cb = event._cb1 or (event._cbs[0] if event._cbs else None)
+    owner = getattr(cb, "__self__", None)
+    if isinstance(owner, (fastpath._QueuedLeg, AnyOf)):
+        return "leg"
+    if isinstance(owner, Process):
+        return "leg" if owner.name.startswith("rma-wire") else owner.name
+    return getattr(cb, "__qualname__", None)
+
+
+class _LoggingSimulator(Simulator):
+    """A simulator recording each heap entry it pops: (time, priority,
+    seq, what the event wakes)."""
+
+    def __init__(self):
+        super().__init__()
+        self.popped = []
+
+    def _step(self):
+        when, prio, seq, event = self._queue[0]
+        self.popped.append((when, prio, seq, _wakes(event)))
+        super()._step()
+
+
+@pytest.mark.parametrize("where", FREEZES)
+@pytest.mark.parametrize("contiguous", [True, False])
+def test_queued_legs_pop_the_rma_wire_events(contiguous, where, monkeypatch):
+    """Queued legs schedule exactly the kernel events of the ``rma-wire``
+    processes they replace: same times, priorities and order."""
+    scenario = _hotspot(contiguous, where, monkeypatch)
+    runs = []
+    # start_fast_leg returns None on a miss, so rma_start then falls
+    # back to an rma-wire process; start_leg queues the leg instead.
+    for start in (fastpath.start_fast_leg, fastpath.start_leg):
+        monkeypatch.setattr(cluster_mod, "start_leg", start)
+        sim = _LoggingSimulator()
+        runs.append((_run(_params(4, 4, True), scenario, sim), sim.popped))
+    assert runs[1] == runs[0]
+
+
+def _rma_processes(params, contiguous):
+    """Run the collect hotspot; return (cluster, names of the processes
+    rma_start started)."""
+    sim = Simulator()
+    cluster = Cluster(sim, params)
+    names = []
+    start_process = sim.process
+
+    def spy(generator, name=""):
+        names.append(name)
+        return start_process(generator, name=name)
+
+    sim.process = spy
+    for name, gen in _collect_scenario(contiguous)(cluster, []):
+        start_process(gen, name=name)
+    sim.run()
+    return cluster, names
+
+
+@pytest.mark.parametrize("contiguous", [True, False])
+def test_queued_legs_start_no_process(contiguous):
+    """fast_path on, no fault plan: a contended rma_start leg is a
+    callback-driven queued leg, never an ``rma-wire`` process."""
+    cluster, names = _rma_processes(_params(4, 4, True), contiguous)
+    assert cluster.mesh.fast_fallbacks > 0
+    assert not [n for n in names if n.startswith("rma-wire")]
+    assert cluster.domain._freeze_event.callbacks == []
+
+
+@pytest.mark.parametrize("contiguous", [True, False])
+def test_active_fault_plan_keeps_rma_wire_processes(contiguous):
+    cluster, names = _rma_processes(_fault_params(4, 4, True), contiguous)
+    assert cluster.mesh.fast_legs == 0
+    wires = [n for n in names if n.startswith("rma-wire")]
+    assert len(wires) == (cluster.nprocs - 1) * COLLECT_PUTS

@@ -112,6 +112,38 @@ def test_head_advancement_blocked_while_frozen():
     assert t >= 5e-3
 
 
+
+def test_timer_won_waits_leave_no_check_on_freeze_event():
+    """A wait its timer wins detaches from the shared freeze event, so a
+    long run with no freeze keeps only the live waiters there."""
+    sim = Simulator()
+    domain = FreezeDomain(sim)
+    live = []
+
+    def waiter(i):
+        yield from domain.interruptible_delay((i + 1) * 1e-6)
+
+    def probe():
+        yield sim.timeout(100.5e-6)
+        live.append(len(domain._freeze_event.callbacks))
+
+    for i in range(200):
+        sim.process(waiter(i))
+    sim.process(probe())
+    sim.run()
+    assert live == [100]  # waits 101..200 us are still running
+    assert domain._freeze_event.callbacks == []
+
+
+def test_contended_unicasts_leave_no_check_on_freeze_event():
+    sim, domain, mesh = make_mesh(2, 2)
+    for src in (1, 2, 3):
+        for _ in range(20):
+            sim.process(mesh.unicast(src, 0, 512))
+    sim.run()
+    assert mesh.messages == 60
+    assert domain._freeze_event.callbacks == []
+
 def test_vbus_broadcast_timing():
     sim = Simulator()
     domain = FreezeDomain(sim)
