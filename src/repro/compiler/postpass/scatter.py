@@ -270,6 +270,14 @@ class CommPlanner:
         for name in env.window_arrays:
             self._valid[name][0, :] = True  # master memory is the reference
         self.plans: Dict[int, RegionCommPlan] = {}
+        #: (id(loop), partition) -> per rank, its summary set and (for
+        #: widened writes) exact per-iteration masks.  Neither depends on
+        #: the validity state, so the back-edge fixpoint's revisits reuse
+        #: them; the masks of :class:`_RankRegions` are rebuilt per visit.
+        #: Loops are keyed by identity: the region tree keeps them alive.
+        self._rank_summaries: Dict[
+            Tuple[int, Partition], List[Tuple[int, SummarySet, Optional[Dict]]]
+        ] = {}
 
     # -- public ------------------------------------------------------------
     def plan(self) -> Dict[int, RegionCommPlan]:
@@ -479,20 +487,7 @@ class CommPlanner:
         out: Dict[str, Dict[int, _RankRegions]] = {
             name: {} for name in region_summary.arrays
         }
-        stmts, base = self._split_frame(loop, partition)
-        for r in range(self.nprocs):
-            rctx = partition.rank_ctx(r)
-            if rctx is None:
-                continue
-            summary = summarize_statements(
-                stmts, self.symtab, base + [rctx], {}
-            )
-            needs_exact = any(
-                any(not l.exact for l in arr.writes)
-                for arr in summary.arrays.values()
-            )
-            if needs_exact:
-                masks = self._per_iteration_masks(loop, rctx, stmts, base)
+        for r, summary, masks in self._summaries_per_rank(loop, partition):
             for name, arr in summary.arrays.items():
                 size = self.env.sizes[name]
                 writes_exact = all(l.exact for l in arr.writes)
@@ -521,6 +516,34 @@ class CommPlanner:
                     )
                 out.setdefault(name, {})[r] = rr
         return out
+
+    def _summaries_per_rank(
+        self, loop: F.Do, partition: Partition
+    ) -> List[Tuple[int, SummarySet, Optional[Dict]]]:
+        """(rank, summary, per-iteration masks or None) for every rank
+        with work, derived once per (loop, partition) per planner."""
+        key = (id(loop), partition)
+        hit = self._rank_summaries.get(key)
+        if hit is not None:
+            return hit
+        stmts, base = self._split_frame(loop, partition)
+        rows = []
+        for r in range(self.nprocs):
+            rctx = partition.rank_ctx(r)
+            if rctx is None:
+                continue
+            summary = summarize_statements(
+                stmts, self.symtab, base + [rctx], {}
+            )
+            masks = None
+            if any(
+                any(not l.exact for l in arr.writes)
+                for arr in summary.arrays.values()
+            ):
+                masks = self._per_iteration_masks(loop, rctx, stmts, base)
+            rows.append((r, summary, masks))
+        self._rank_summaries[key] = rows
+        return rows
 
     def _per_iteration_masks(
         self,

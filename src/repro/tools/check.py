@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -191,6 +191,10 @@ class CheckReport:
         return "\n".join(lines)
 
 
+#: One region's RV401 result: its diagnostics and its notes.
+_Rv401 = Tuple[Tuple[Diagnostic, ...], Tuple[str, ...]]
+
+
 def _diag_sort_key(d: Diagnostic):
     return (d.region_id, d.code, d.array or "", -1 if d.rank is None else d.rank)
 
@@ -204,15 +208,25 @@ class _VerifyingPlanner(CommPlanner):
     planner's meet-over-backedge fixpoint); findings are keyed by region
     id and overwritten per visit, so only the final (post-meet) pass
     survives — exactly the state the emitted plan was derived from.
+
+    RV401 does not depend on that state (nor on the grain), so its
+    result — diagnostics *and* notes — comes from ``rv401``, a memo keyed
+    by (region id, loop id, :class:`Partition`) that every visit replays.
     """
 
-    def __init__(self, *args, emitted: Dict[int, RegionCommPlan], **kwargs):
+    def __init__(
+        self,
+        *args,
+        emitted: Dict[int, RegionCommPlan],
+        rv401: Dict[tuple, _Rv401],
+        **kwargs,
+    ):
         super().__init__(*args, **kwargs)
         self.emitted = emitted
         self.findings: Dict[int, List[Diagnostic]] = {}
         self.region_notes: Dict[int, List[str]] = {}
         self._last_access = None
-        self._rv401_cache: Dict[int, List] = {}
+        self.rv401 = rv401
 
     # -- hooks ---------------------------------------------------------------
     def _rank_regions(self, loop, partition, region_summary):
@@ -348,10 +362,16 @@ class _VerifyingPlanner(CommPlanner):
                 detail="collect puts are not closed by a fence epoch",
             ))
 
-        # RV401: partition legality (state-independent; cached per region).
-        if rid not in self._rv401_cache:
-            self._rv401_cache[rid] = self._check_partition(region, notes)
-        diags.extend(self._rv401_cache[rid])
+        # RV401: partition legality (state- and grain-independent).
+        key = (rid, region.loop.loop_id, region.partition)
+        if key not in self.rv401:
+            found: List[str] = []
+            self.rv401[key] = (
+                tuple(self._check_partition(region, found)), tuple(found)
+            )
+        rv401_diags, rv401_notes = self.rv401[key]
+        diags.extend(rv401_diags)
+        notes.extend(rv401_notes)
         diags.sort(key=_diag_sort_key)
 
     def _check_partition(self, region, notes: List[str]) -> List[Diagnostic]:
@@ -450,8 +470,17 @@ class _VerifyingPlanner(CommPlanner):
         return diags
 
 
-def check_program(program) -> CheckReport:
-    """Statically verify a compiled program's emitted transfer plans."""
+def check_program(
+    program, rv401: Optional[Dict[tuple, _Rv401]] = None
+) -> CheckReport:
+    """Statically verify a compiled program's emitted transfer plans.
+
+    ``rv401`` is the RV401 memo (see :class:`_VerifyingPlanner`); pass
+    one dict to every call over variants of *one* source that differ
+    only in grain or strategy — the autotuner's prune tier does — and
+    each (region, partition) is analysed once.  By default every call
+    gets a fresh memo.
+    """
     options = program.options
     regions = build_regions(program.unit.body)
     env = generate_environment(regions, program.unit.symtab)
@@ -467,6 +496,7 @@ def check_program(program) -> CheckReport:
         grain_map=dict(options.grain_map or ()),
         partition_map=dict(options.partition_map or ()),
         emitted=program.plans,
+        rv401={} if rv401 is None else rv401,
     )
     planner.plan()
     report = CheckReport(
@@ -544,10 +574,13 @@ def check_source(
     return report
 
 
-def bad_region_map(program) -> Dict[int, List[str]]:
-    """region_id -> sorted diagnostic codes (the autotuner's prune input)."""
+def bad_region_map(
+    program, rv401: Optional[Dict[tuple, _Rv401]] = None
+) -> Dict[int, List[str]]:
+    """region_id -> sorted diagnostic codes (the autotuner's prune input);
+    ``rv401`` as in :func:`check_program`."""
     out: Dict[int, List[str]] = {}
-    for d in check_program(program).diagnostics:
+    for d in check_program(program, rv401).diagnostics:
         out.setdefault(d.region_id, [])
         if d.code not in out[d.region_id]:
             out[d.region_id].append(d.code)

@@ -790,12 +790,17 @@ def _prune(t: _Table) -> None:
     proves illegal for a region.  A region where *every* candidate is
     illegal keeps the full list — the tuner must still pick something,
     and an everywhere-illegal program is ``repro check``'s verdict to
-    deliver, not the tuner's."""
+    deliver, not the tuner's.
+
+    Every candidate compiles the one source to the same region ids, and
+    RV401 depends on a region's partition, never its grain: one memo
+    shared by all variants runs it once per (region, partition)."""
     from repro.tools.check import bad_region_map
 
     candidates = next(iter(t.cands.values()), [])
+    rv401 = {}
     illegal = {
-        c: frozenset(bad_region_map(t.programs[c])) for c in candidates
+        c: frozenset(bad_region_map(t.programs[c], rv401)) for c in candidates
     }
     for rid in t.region_ids:
         kept = [c for c in candidates if rid not in illegal[c]]

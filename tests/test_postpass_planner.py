@@ -215,3 +215,133 @@ def test_plan_message_and_byte_accounting():
         for a in plan.arrays.values()
     )
     assert plan.total_bytes() > 0
+
+
+# ---------------------------------------------------------------------------
+# Per-planner memo of per-rank summaries (fixpoint revisits reuse them)
+# ---------------------------------------------------------------------------
+
+def _count_rank_work(monkeypatch):
+    """Record (visits, per-rank summarize keys, per-iteration mask keys)
+    of every planner run while the fixture is active."""
+    import sys
+
+    from repro.compiler.postpass import scatter
+
+    visits, summaries, masks = [], [], []
+    real_summarize = scatter.summarize_statements
+    real_rank_regions = scatter.CommPlanner._rank_regions
+    real_masks = scatter.CommPlanner._per_iteration_masks
+
+    def summarize(stmts, symtab, ctxs, bindings):
+        if sys._getframe(1).f_code.co_name == "_summaries_per_rank":
+            summaries.append((id(stmts), tuple(ctxs)))
+        return real_summarize(stmts, symtab, ctxs, bindings)
+
+    def rank_regions(self, loop, partition, region_summary):
+        visits.append((id(loop), partition))
+        return real_rank_regions(self, loop, partition, region_summary)
+
+    def per_iteration_masks(self, loop, rctx, stmts, base):
+        masks.append((id(loop), rctx))
+        return real_masks(self, loop, rctx, stmts, base)
+
+    monkeypatch.setattr(scatter, "summarize_statements", summarize)
+    monkeypatch.setattr(scatter.CommPlanner, "_rank_regions", rank_regions)
+    monkeypatch.setattr(
+        scatter.CommPlanner, "_per_iteration_masks", per_iteration_masks
+    )
+    return visits, summaries, masks
+
+
+def _plans_digest(plans) -> str:
+    import hashlib
+    from dataclasses import asdict
+
+    from repro.sweep.cache import canonical_json
+
+    doc = {str(rid): asdict(p) for rid, p in plans.items()}
+    return hashlib.sha256(canonical_json(doc).encode()).hexdigest()
+
+
+def test_rank_summaries_once_per_planner_swim(monkeypatch):
+    """SWIM's time loop makes the fixpoint revisit every region; each
+    (loop, partition, rank) is still summarized once, and the program —
+    Fortran, plans, simulated seconds and array digest — is unchanged
+    (values pinned before the memo existed)."""
+    import hashlib
+
+    from repro.compiler.pipeline import clear_compile_cache
+    from repro.workloads import source_for
+
+    clear_compile_cache()
+    visits, summaries, _masks = _count_rank_work(monkeypatch)
+    prog = compile_source(source_for("SWIM-64"), nprocs=16)
+    monkeypatch.undo()
+    assert len(visits) > len(set(visits))  # the fixpoint did revisit
+    assert summaries and len(summaries) == len(set(summaries))
+    assert len(summaries) == 16 * len(set(visits))
+    assert hashlib.sha256(prog.fortran.encode()).hexdigest() == (
+        "caa27b23ec81f30c959b1e13eb411950ea9a88666502ba0ccc112ad120d6a2e8"
+    )
+    assert sorted(prog.plans) == [1, 3, 4, 5]
+    assert _plans_digest(prog.plans) == (
+        "59e6d38e2ac39d24ff10019d25034a7da9c460779e09be475d5701e8dd51817c"
+    )
+    rep = run_program(prog, execute=True)
+    assert rep.total_s == 0.02744831999999858
+    assert rep.array_digest() == (
+        "dce53dfa13b90b4f2d2ced6a7a63abc7bfee0bd9e834638d3757571014407364"
+    )
+
+
+TRIANGULAR_IN_TIME_LOOP = """
+      PROGRAM TRIT
+      PARAMETER (N = 12)
+      REAL*8 L(N,N)
+      INTEGER I, J, T
+      DO T = 1, 3
+        DO I = 1, N
+          DO J = 1, I
+            L(J,I) = DBLE(I + T) + 0.001 * DBLE(J)
+          ENDDO
+        ENDDO
+      ENDDO
+      PRINT *, L(1,1), L(N,N)
+      END
+"""
+
+
+def test_per_iteration_masks_once_per_planner(monkeypatch):
+    """Widened (triangular) regions keep their exact per-iteration masks
+    across revisits; the plans equal those of a planner that re-derives
+    everything on every visit."""
+    from repro.compiler.pipeline import clear_compile_cache
+    from repro.compiler.postpass import scatter
+
+    clear_compile_cache()
+    visits, _summaries, masks = _count_rank_work(monkeypatch)
+    memo = compile_source(TRIANGULAR_IN_TIME_LOOP, nprocs=3)
+    monkeypatch.undo()
+    assert len(visits) > len(set(visits))
+    assert masks and len(masks) == len(set(masks))
+    assert len(masks) == 3 * len(set(visits))
+
+    real = scatter.CommPlanner._summaries_per_rank
+
+    def forgetful(self, loop, partition):
+        self._rank_summaries.clear()
+        return real(self, loop, partition)
+
+    clear_compile_cache()
+    monkeypatch.setattr(
+        scatter.CommPlanner, "_summaries_per_rank", forgetful
+    )
+    again = compile_source(TRIANGULAR_IN_TIME_LOOP, nprocs=3)
+    monkeypatch.undo()
+    clear_compile_cache()
+    assert again.fortran == memo.fortran
+    assert _plans_digest(again.plans) == _plans_digest(memo.plans)
+    seq = run_sequential(memo)
+    par = run_program(memo)
+    assert np.array_equal(par.memory.array("L"), seq.memory.array("L"))

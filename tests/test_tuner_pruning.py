@@ -86,3 +86,25 @@ def test_price_key_identifies_structural_duplicates():
     assert _plan_price_key(auto.plans[rid]) != _plan_price_key(
         cyclic.plans[rid]
     )
+
+
+def test_prune_runs_rv401_once_per_region_partition(monkeypatch):
+    """RV401 depends on a region's partition, not its grain: one joint
+    search analyses each distinct (region, partition) exactly once,
+    however many grain variants share it."""
+    from repro.tools.check import _VerifyingPlanner
+
+    calls = []
+    real = _VerifyingPlanner._check_partition
+
+    def counting(self, region, notes):
+        calls.append((region.region_id, region.partition))
+        return real(self, region, notes)
+
+    monkeypatch.setattr(_VerifyingPlanner, "_check_partition", counting)
+    plan = tune_cell("pxover32_vbus")
+    assert plan.pruned_candidates > 0
+    assert calls and len(calls) == len(set(calls))
+    # Block and cyclic variants of every region: more than one partition
+    # per region, each analysed once.
+    assert len(set(calls)) > len({rid for rid, _p in calls})
