@@ -15,14 +15,15 @@ Pragmas (one per line, anywhere in the source)::
     C$BUG KEEP-GRAIN <ARRAY>            undo the §5.6 collect demotion
 
 Each pragma applies to the first parallel region where it has an effect
-and raises :class:`ValueError` when it has none — a corpus program whose
-planted bug evaporated (e.g. after a planner change) must fail loudly,
+and raises :class:`BugSeedError` (a ``ValueError``) when it has none —
+a corpus program whose planted bug evaporated (e.g. after a planner
+change, or under options that plan no such transfer) must fail loudly,
 not silently go green.
 """
 
 from __future__ import annotations
 
-from typing import List
+from typing import List, Optional
 
 from repro.compiler.postpass.scatter import (
     RegionCommPlan,
@@ -30,10 +31,29 @@ from repro.compiler.postpass.scatter import (
     _transfers_mask,
 )
 
-__all__ = ["apply_bug_pragmas"]
+__all__ = ["BugSeedError", "apply_bug_pragmas"]
 
 #: Pragma sentinel scanned for by :func:`repro.compiler.pipeline.compile_source`.
 PRAGMA = "C$BUG"
+
+
+class BugSeedError(ValueError):
+    """A ``C$BUG`` pragma that is malformed or finds nothing to mutate.
+
+    ``pragma`` is the pragma's text and ``options`` the
+    :class:`~repro.compiler.pipeline.CompileOptions` it was planned under.
+    """
+
+    def __init__(self, pragma: str, why: str, options=None):
+        where = ""
+        if options is not None:
+            where = (
+                f" (nprocs={options.nprocs}, granularity="
+                f"{options.granularity}, partition={options.partition})"
+            )
+        super().__init__(f"{PRAGMA} {pragma}: {why}{where}")
+        self.pragma = pragma
+        self.options = options
 
 
 def _pragma_lines(source: str) -> List[List[str]]:
@@ -49,7 +69,7 @@ def _sorted_plans(program) -> List[RegionCommPlan]:
     return [program.plans[rid] for rid in sorted(program.plans)]
 
 
-def _drop_scatter(program, array: str, rank: int) -> None:
+def _drop_scatter(program, array: str, rank: int) -> Optional[str]:
     for plan in _sorted_plans(program):
         aplan = plan.arrays.get(array)
         if aplan is not None and aplan.scatter.get(rank):
@@ -59,40 +79,38 @@ def _drop_scatter(program, array: str, rank: int) -> None:
             plan.notes.append(
                 f"bugseed: dropped scatter of {array} to rank {rank}"
             )
-            return
-    raise ValueError(
-        f"C$BUG DROP-SCATTER {array} {rank}: no region scatters it"
-    )
+            return None
+    return "no region scatters it"
 
 
-def _drop_collect(program, array: str) -> None:
+def _drop_collect(program, array: str) -> Optional[str]:
     for plan in _sorted_plans(program):
         aplan = plan.arrays.get(array)
         if aplan is not None and aplan.collect:
             aplan.collect.clear()
             plan.notes.append(f"bugseed: dropped collect of {array}")
-            return
-    raise ValueError(f"C$BUG DROP-COLLECT {array}: no region collects it")
+            return None
+    return "no region collects it"
 
 
-def _drop_fence(program, phase: str) -> None:
+def _drop_fence(program, phase: str) -> Optional[str]:
     for plan in _sorted_plans(program):
         if phase == "SCATTER" and any(
             a.scatter for a in plan.arrays.values()
         ):
             plan.scatter_fence = False
             plan.notes.append("bugseed: dropped the scatter fence")
-            return
+            return None
         if phase == "COLLECT" and any(
             a.collect for a in plan.arrays.values()
         ):
             plan.collect_fence = False
             plan.notes.append("bugseed: dropped the collect fence")
-            return
-    raise ValueError(f"C$BUG DROP-FENCE {phase}: no region has that phase")
+            return None
+    return "no region has that phase"
 
 
-def _keep_grain(program, array: str) -> None:
+def _keep_grain(program, array: str) -> Optional[str]:
     for plan in _sorted_plans(program):
         aplan = plan.arrays.get(array)
         if aplan is None or aplan.demotion_reason is None:
@@ -107,26 +125,33 @@ def _keep_grain(program, array: str) -> None:
             f"bugseed: kept {aplan.grain} collect grain for {array} "
             "(demotion undone)"
         )
-        return
-    raise ValueError(f"C$BUG KEEP-GRAIN {array}: no demoted collect found")
+        return None
+    return "no demoted collect found"
 
 
 def apply_bug_pragmas(program, source: str) -> None:
-    """Apply every ``C$BUG`` pragma in ``source`` to ``program`` in place."""
+    """Apply every ``C$BUG`` pragma in ``source`` to ``program`` in place.
+
+    Each applier returns ``None`` once it mutated a region, else why it
+    could not; either failure raises :class:`BugSeedError`.
+    """
+    options = getattr(program, "options", None)
     for words in _pragma_lines(source):
         if not words:
-            raise ValueError("empty C$BUG pragma")
+            raise BugSeedError("", "empty pragma", options)
         op, args = words[0].upper(), words[1:]
         if op == "DROP-SCATTER" and len(args) == 2:
-            _drop_scatter(program, args[0].upper(), int(args[1]))
+            why = _drop_scatter(program, args[0].upper(), int(args[1]))
         elif op == "DROP-COLLECT" and len(args) == 1:
-            _drop_collect(program, args[0].upper())
+            why = _drop_collect(program, args[0].upper())
         elif op == "DROP-FENCE" and len(args) == 1 and args[0].upper() in (
             "SCATTER",
             "COLLECT",
         ):
-            _drop_fence(program, args[0].upper())
+            why = _drop_fence(program, args[0].upper())
         elif op == "KEEP-GRAIN" and len(args) == 1:
-            _keep_grain(program, args[0].upper())
+            why = _keep_grain(program, args[0].upper())
         else:
-            raise ValueError(f"unknown C$BUG pragma: {' '.join(words)}")
+            why = "unknown pragma"
+        if why is not None:
+            raise BugSeedError(" ".join(words), why, options)

@@ -128,19 +128,24 @@ class Comm(CollectiveMixin):
         if not 0 <= r < self.size:
             raise MpiError(f"{what} {r} out of range (size={self.size})")
 
-    def _obs_call(self, name: str, t0: float, args: Optional[dict] = None) -> None:
+    def _obs_call(
+        self, name: str, t0: float, args: Optional[dict] = None,
+        t1: Optional[float] = None,
+    ) -> None:
         """Record a completed MPI call on this rank's track.
 
         Callers guard with ``if self._tracer is not None`` so the hot
         path pays one attribute test, not a function call, when tracing
-        is off.  Emits the ``[t0, now]`` span plus ``mpi.<name>.calls``
-        / ``mpi.<name>.s`` metrics.
+        is off.  Emits the ``[t0, t1]`` span (``t1`` defaults to now)
+        plus ``mpi.<name>.calls`` / ``mpi.<name>.s`` metrics.
         """
         tr = self._tracer
         if tr is not None:
-            tr.span(("rank", self.rank), name, t0, args=args)
+            if t1 is None:
+                t1 = tr.sim.now
+            tr.span(("rank", self.rank), name, t0, t1, args=args)
             tr.count(f"mpi.{name}.calls")
-            tr.observe(f"mpi.{name}.s", tr.sim.now - t0, "s")
+            tr.observe(f"mpi.{name}.s", t1 - t0, "s")
 
     # -- transfer plumbing ------------------------------------------------
     def _transfer(

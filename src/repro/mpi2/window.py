@@ -51,7 +51,7 @@ Chrome-trace export (docs/TRACE_FORMAT.md).
 
 from __future__ import annotations
 
-from typing import Dict, Generator, List, Optional
+from typing import Dict, Generator, Iterable, List, Optional
 
 import numpy as np
 
@@ -163,27 +163,49 @@ class Win:
         an explicit ``count`` performs the hardware leg without moving
         values (the runtime's timing-only mode).
         """
-        if data is not None:
-            data = np.ascontiguousarray(data).ravel()
-            count = data.size
-            itemsize = data.itemsize
-        elif count is None:
-            raise MpiError("put(data=None) requires count")
-        self._check_span(target, offset, count, stride)
-        tr = self._tracer
-        t0 = self._comm.sim.now if tr is not None else 0.0
-        if data is not None:
-            buf = self._state.buffers[target]
-            buf[self._indices(offset, count, stride)] = data
-        yield from self._hardware_leg(
-            target, count, itemsize, stride, direction="put"
+        yield from self.put_all(
+            [(data, target, offset, stride, count)], itemsize
         )
-        if tr is not None:
-            self._comm._obs_call(
-                "MPI_Put", t0,
-                {"target": target, "bytes": count * itemsize,
-                 "stride": stride},
+
+    def put_all(self, puts: Iterable[tuple], itemsize: int = 8) -> Generator:
+        """MPI_PUT each ``(data, target, offset, stride, count)`` of
+        ``puts`` in order, as a loop of :meth:`put` calls would.
+
+        ``puts`` is read lazily: each put is fetched, and its payload
+        read, when the previous put's blocking phase ends.  On the fast
+        path the whole loop is one put stream (see
+        :meth:`~repro.vbus.cluster.Cluster.rma_legs`), so the caller
+        yields once.
+        """
+        yield from self._state.cluster.rma_legs(
+            self.rank, self._put_legs(puts, itemsize)
+        )
+
+    def _put_legs(self, puts: Iterable[tuple], itemsize: int) -> Generator:
+        """The ``rma_legs`` coroutine of :meth:`put_all`."""
+        for data, target, offset, stride, count in puts:
+            size = itemsize
+            if data is not None:
+                data = np.ascontiguousarray(data).ravel()
+                count = data.size
+                size = data.itemsize
+            elif count is None:
+                raise MpiError("put(data=None) requires count")
+            self._check_span(target, offset, count, stride)
+            if data is not None:
+                buf = self._state.buffers[target]
+                buf[self._indices(offset, count, stride)] = data
+            nbytes = count * size
+            t0, t1, cpu_s, completion = yield (
+                target, nbytes, count, stride == 1, "put"
             )
+            self._book_leg(nbytes, stride == 1, "put", cpu_s, completion)
+            if self._tracer is not None:
+                self._comm._obs_call(
+                    "MPI_Put", t0,
+                    {"target": target, "bytes": nbytes, "stride": stride},
+                    t1,
+                )
 
     def get(
         self,
@@ -244,7 +266,7 @@ class Win:
     ) -> Generator:
         contiguous = stride == 1
         nbytes = count * itemsize
-        _cpu_s, completion = yield from self._state.cluster.rma_start(
+        cpu_s, completion = yield from self._state.cluster.rma_start(
             self.rank,
             target,
             nbytes,
@@ -252,6 +274,10 @@ class Win:
             contiguous=contiguous,
             direction=direction,
         )
+        self._book_leg(nbytes, contiguous, direction, cpu_s, completion)
+
+    def _book_leg(self, nbytes, contiguous, direction, cpu_s, completion):
+        """Window accounting of one initiated hardware leg."""
         self._outstanding.append(completion)
         self.bytes_moved += nbytes
         if direction == "put":
@@ -264,7 +290,7 @@ class Win:
                 self.gets_contig += 1
             else:
                 self.gets_strided += 1
-        self._comm.comm_s += _cpu_s
+        self._comm.comm_s += cpu_s
 
     # -- datatype-shaped operations ---------------------------------------
     def put_datatype(

@@ -250,22 +250,9 @@ class _Execution:
                         self.scatter_messages += 1
                         self.scatter_bytes += t.count * aplan.itemsize
             elif rank == 0:
-                win = self.wins[name][0]
-                for r, transfers in sorted(aplan.scatter.items()):
-                    for t in transfers:
-                        data = self._payload(0, name, t, aplan.itemsize)
-                        yield from win.put(
-                            data,
-                            target=r,
-                            offset=t.offset,
-                            stride=t.stride,
-                            count=t.count,
-                            itemsize=aplan.itemsize,
-                        )
-                        self.scatter_messages += 1
-                        self.scatter_bytes += t.count * aplan.itemsize
-                        if self.san is not None:
-                            self.san.on_scatter(r, name, t)
+                yield from self.wins[name][0].put_all(
+                    self._scatter_puts(name, aplan), aplan.itemsize
+                )
         if plan.scatter_fence:
             yield from self._fence_all(rank, win_names)
         elif self.san is not None:
@@ -318,22 +305,10 @@ class _Execution:
         # ---- data collecting ---------------------------------------------
         for name in win_names:
             aplan = plan.arrays[name]
-            transfers = aplan.collect.get(rank, [])
-            win = self.wins[name][rank]
-            for t in transfers:
-                data = self._payload(rank, name, t, aplan.itemsize)
-                if self.san is not None:
-                    self.san.on_collect(rank, region.region_id, name, t)
-                yield from win.put(
-                    data,
-                    target=0,
-                    offset=t.offset,
-                    stride=t.stride,
-                    count=t.count,
-                    itemsize=aplan.itemsize,
-                )
-                self.collect_messages += 1
-                self.collect_bytes += t.count * aplan.itemsize
+            yield from self.wins[name][rank].put_all(
+                self._collect_puts(rank, region.region_id, name, aplan),
+                aplan.itemsize,
+            )
         if plan.collect_fence:
             yield from self._fence_all(rank, win_names)
         elif self.san is not None:
@@ -347,6 +322,28 @@ class _Execution:
                 mem.scalars[s] = float(self.redwin[0].local[self.red_slots[s]])
         if reductions:
             yield from self._sync_env(rank)
+
+    # -- one window's puts, built one at a time (Win.put_all) --------------
+    def _scatter_puts(self, name: str, aplan):
+        """The master's puts of ``name`` to every slave."""
+        for r, transfers in sorted(aplan.scatter.items()):
+            for t in transfers:
+                data = self._payload(0, name, t, aplan.itemsize)
+                yield data, r, t.offset, t.stride, t.count
+                self.scatter_messages += 1
+                self.scatter_bytes += t.count * aplan.itemsize
+                if self.san is not None:
+                    self.san.on_scatter(r, name, t)
+
+    def _collect_puts(self, rank: int, region_id: int, name: str, aplan):
+        """``rank``'s puts of ``name`` back to the master."""
+        for t in aplan.collect.get(rank, []):
+            data = self._payload(rank, name, t, aplan.itemsize)
+            if self.san is not None:
+                self.san.on_collect(rank, region_id, name, t)
+            yield data, 0, t.offset, t.stride, t.count
+            self.collect_messages += 1
+            self.collect_bytes += t.count * aplan.itemsize
 
     # -- reporting --------------------------------------------------------
     def report(self) -> RunReport:

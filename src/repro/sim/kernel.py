@@ -21,7 +21,7 @@ Fast-path / stepwise equivalence contract
 
 The batched transfer fast path (:mod:`repro.vbus.fastpath`) is an
 *accounting* optimization layered on this kernel, and the kernel supplies
-the three primitives its bit-identity proof needs:
+the primitives its bit-identity proof needs:
 
 * :meth:`Simulator.timeout_at` and :meth:`Simulator.pooled_timeout_at`
   schedule at **absolute** timestamps.  The fast path precomputes an end
@@ -33,7 +33,11 @@ the three primitives its bit-identity proof needs:
   stepwise oracle without disturbing heap order.
 * :meth:`Simulator.peek` exposes the next live event time, letting the
   fast path prove "no other process can run inside my head window"
-  before claiming a whole route at once.
+  before claiming a whole route at once, and letting an RMA put stream
+  book whole puts that end before it (the event horizon).
+* :meth:`Simulator.fire` triggers an event and runs its callbacks inside
+  the current step, so a callback chain can resume a waiting process
+  where that process would itself have continued.
 
 Changing tie-breaking (the ``(time, priority, seq)`` heap key), timestamp
 arithmetic, or cancellation semantics invalidates that proof — the
@@ -477,6 +481,32 @@ class Simulator:
     def timeout(self, delay: float, value: Any = None) -> Timeout:
         return Timeout(self, delay, value)
 
+    def fire(self, event: Event, value: Any = None, ok: bool = True) -> None:
+        """Trigger ``event`` and run its callbacks now, inside this step.
+
+        No heap entry is made: a waiting process resumes at exactly the
+        point where it would have continued had it run the caller's code
+        itself.  Callback chains that stand in for a process (the RMA put
+        streams) use this to hand control back to the waiting generator
+        without adding an event.  ``ok=False`` fires a failure: ``value``
+        must be an exception, and it is raised here when no callback
+        takes it.
+        """
+        if event._value is not _PENDING:
+            raise SimulationError(f"{event!r} already triggered")
+        event._value = value
+        event._ok = ok
+        event._processed = True
+        cb1, event._cb1 = event._cb1, None
+        if cb1 is not None:
+            cb1(event)
+        if event._cbs is not None:
+            cbs, event._cbs = event._cbs, None
+            for cb in cbs:
+                cb(event)
+        if not ok and not event._defused:
+            raise value
+
     def process(self, generator: Generator, name: str = "") -> Process:
         return Process(self, generator, name=name)
 
@@ -512,32 +542,30 @@ class Simulator:
         reference once the timeout fires or is cancelled, so the kernel may
         hand the object out again.  ``at`` must not lie in the past.
         """
-        if at < self._now:
+        now = self._now
+        if at < now:
             raise SimulationError(f"pooled timeout at {at} lies in the past")
         if self._tpool:
             t = self._tpool.pop()
-            t.delay = at - self._now
-            t._value = None
         else:
             t = Timeout.__new__(Timeout)
             Event.__init__(t, self)
-            t.delay = at - self._now
-            t._value = None
-        t._poolable = True
+            t._poolable = True
+        t.delay = at - now
+        t._value = None
         t._cb1 = callback
-        self._schedule_at(t, at, priority=NORMAL)
+        heapq.heappush(self._queue, (at, NORMAL, self._seq, t))
+        self._seq += 1
         return t
 
     def _recycle(self, t: Timeout) -> None:
+        # Pooled timeouts never fail and are handed out again only by
+        # pooled_timeout_at, which sets their value and callback.
         if len(self._tpool) < _POOL_MAX:
             t._cb1 = None
             t._cbs = None
-            t._value = _PENDING
-            t._ok = True
             t._processed = False
-            t._defused = False
             t._cancelled = False
-            t._poolable = False
             self._tpool.append(t)
 
     def cancel(self, event: Event) -> None:

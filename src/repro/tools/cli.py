@@ -40,6 +40,7 @@ import sys
 from typing import List, Optional
 
 from repro.compiler.pipeline import CompileOptions, compile_source
+from repro.compiler.postpass.bugseed import BugSeedError
 from repro.compiler.postpass.granularity import GRAINS
 from repro.compiler.postpass.partition import PartitionError
 from repro.faults.plan import FaultPlan
@@ -158,10 +159,13 @@ def _source_text(source: str) -> str:
     if os.path.exists(source):
         with open(source) as fh:
             return fh.read()
-    from repro.workloads import is_spec, source_for
+    from repro.workloads import WorkloadSpecError, is_spec, source_for
 
     if is_spec(source):
-        return source_for(source)
+        try:
+            return source_for(source)
+        except WorkloadSpecError as exc:
+            raise _CliError(str(exc))
     raise SystemExit(
         f"repro: {source!r} is neither a file nor a workload spec"
     )
@@ -682,7 +686,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except MpiFaultError as exc:
         print(f"fault: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
-    except _CliError as exc:
+    except (_CliError, BugSeedError) as exc:
         print(f"repro: {exc}", file=sys.stderr)
         return 2
     except PartitionError as exc:

@@ -16,12 +16,14 @@ from __future__ import annotations
 from typing import Dict, Generator, List, Optional
 
 from repro.obs import Tracer
-from repro.sim import Simulator
+from repro.sim import Event, Simulator
 from repro.vbus.ethernet import EthernetNetwork
 from repro.vbus.host import Host
 from repro.vbus.mesh import MeshTopology
 from repro.vbus.nic import Nic, RECV_OVERHEAD_S, TransferReceipt
-from repro.vbus.fastpath import start_fast_leg, start_leg
+from repro.vbus.fastpath import (
+    book_leg, claim_leg, claimable, leg_times, start_fast_leg, start_leg,
+)
 from repro.vbus.params import ClusterParams, VBUS_SKWP, cluster_for
 from repro.vbus.router import WormholeMesh
 from repro.vbus.signal import bandwidth_Bps
@@ -34,6 +36,257 @@ def _noop():
     """An immediately-completing process body."""
     return
     yield  # pragma: no cover - makes this a generator function
+
+
+def _one_leg(leg):
+    """A :meth:`Cluster.rma_legs` coroutine of the single ``leg``."""
+    return (yield leg)
+
+
+class _RmaStream:
+    """One origin's one-sided legs, run as a chain of kernel callbacks.
+
+    Each leg goes through :meth:`Cluster._rma_leg`'s phases with the same
+    heap entries in the same order: the setup timer (on the mesh merged
+    with a strided leg's per-element copy), the DMA engine (taken at once
+    when free on the mesh, else requested and granted), the
+    ``dma_setup`` timer, then the wire leg (:func:`start_leg`, or the
+    ``rma-wire`` process on Ethernet).  Only the generator frames are
+    gone: the caller yields once for the whole stream, and the callback
+    that ends the last leg's blocking phase resumes it inline
+    (:meth:`Simulator.fire`), where the generator would have continued.
+
+    **Booking ahead of the horizon** (mesh only).  When a leg reaches the
+    wire at ``t`` and the fast path would claim it, let ``F`` be the
+    next live heap entry (``sim.peek()``).  If the leg's release and
+    tail, and every phase of the next leg up to its own wire time, end
+    strictly before ``F``, and the next leg could be claimed then too,
+    nothing else can run in between: no other entry pops before ``F``,
+    only this rank uses its DMA engine, a held channel stays held until
+    an entry at or after ``F`` releases it, and a freeze can only start
+    in a popped entry.  So the leg is *booked*: its channel, wire, NIC
+    and trace accounting is charged in closed form with the stepwise
+    float sums, no entry is scheduled, and the stream moves on to the
+    next leg at its wire time.  The last booked leg that cannot be
+    followed this way is claimed as a real analytic leg, and the
+    stream's next entry is scheduled at its absolute time.
+    """
+
+    __slots__ = (
+        "cluster", "sim", "origin", "nic", "mesh", "legs", "done", "value",
+        "leg", "t", "t0", "setup_s", "dma_setup_s", "dma_rate_Bps",
+    )
+
+    def __init__(self, cluster, origin: int, legs):
+        self.cluster = cluster
+        self.sim = cluster.sim
+        self.origin = origin
+        self.nic = cluster.nics[origin]
+        self.mesh = cluster.mesh
+        self.legs = legs
+        self.setup_s = self.nic.software_setup_s()
+        self.dma_setup_s = cluster.params.nic.dma_setup_s
+        self.dma_rate_Bps = cluster.params.nic.dma_rate_Bps
+        #: Fired with ``legs``' return value once the last leg started.
+        self.done: Optional[Event] = None
+        self.value = None
+        #: The current leg and the stream's clock: ``t`` runs ahead of
+        #: ``sim.now`` while legs are booked.
+        self.leg = None
+        self.t = cluster.sim.now
+        self.t0 = self.t
+
+    def start(self) -> Optional[Event]:
+        """Start the first leg; returns the event the caller waits on, or
+        ``None`` when every leg finished at once (see ``value``)."""
+        if not self._send(None):
+            return None
+        self.done = Event(self.sim)
+        self._first_timer()
+        return self.done
+
+    # -- the coroutine -----------------------------------------------------
+    def _send(self, reply) -> bool:
+        """Send ``reply`` to ``legs`` and fetch the next leg; rank-local
+        and empty legs finish on the spot.  False once ``legs`` returns."""
+        cluster = self.cluster
+        while True:
+            try:
+                leg = self.legs.send(reply)
+            except StopIteration as stop:
+                self.value = stop.value
+                return False
+            remote, nbytes, elements, contiguous, direction = leg
+            cluster._check_leg(self.origin, remote, direction)
+            self.t0 = self.t
+            if remote == self.origin or nbytes == 0:
+                reply = (self.t, self.t, 0.0, self.sim.completed_event())
+                continue
+            if elements is None:
+                leg = (remote, nbytes, max(1, nbytes // 8), contiguous,
+                       direction)
+            self.leg = leg
+            return True
+
+    # -- the blocking phase of one leg ----------------------------------------
+    def _first_timer(self) -> None:
+        _remote, _nbytes, elements, contiguous, _dir = self.leg
+        at = self.t + self.setup_s
+        if contiguous or self.mesh is None:
+            self.sim.pooled_timeout_at(at, self._on_setup)
+        else:
+            self.sim.pooled_timeout_at(
+                at + self.cluster._pio_s(elements), self._on_wire
+            )
+
+    def _on_setup(self, _ev) -> None:
+        self.t = now = self.sim.now
+        if self.leg[3]:
+            dma = self.nic._dma
+            if self.mesh is not None and dma.try_acquire():
+                self._on_grant(None)
+            else:
+                dma.request()._add_cb(self._on_grant)
+        else:
+            # Ethernet: the per-element copy is its own timer.
+            self.sim.pooled_timeout_at(
+                now + self.cluster._pio_s(self.leg[2]), self._on_wire
+            )
+
+    def _on_grant(self, _ev) -> None:
+        self.t = now = self.sim.now
+        self.sim.pooled_timeout_at(now + self.dma_setup_s, self._on_wire)
+
+    def _on_wire(self, _ev) -> None:
+        self.t = self.sim.now
+        try:
+            self._reach_wire()
+        except BaseException as exc:
+            if self.done.triggered:
+                raise
+            self.sim.fire(self.done, exc, ok=False)
+
+    def _on_finish(self, _ev) -> None:
+        self.sim.fire(self.done, self.value)
+
+    # -- legs reach the wire --------------------------------------------------
+    def _reach_wire(self) -> None:
+        """The current leg reaches the wire at ``t``: start (or book) it,
+        then fetch and start the next leg."""
+        cluster = self.cluster
+        sim = self.sim
+        mesh = self.mesh
+        nic = self.nic
+        horizon = None
+        while True:
+            remote, nbytes, elements, contiguous, direction = self.leg
+            if direction == "put":
+                src, dst = self.origin, remote
+            else:
+                src, dst = remote, self.origin
+            cap = self.dma_rate_Bps if contiguous else None
+            at_tail = nic._dma.release if contiguous else None
+            pending = None
+            if horizon is not None:
+                # Proved claimable by the look-ahead that brought us here.
+                pending = Event(sim)
+            elif mesh is not None and not mesh.domain.frozen:
+                horizon = sim.peek()
+                # Booking needs at least the next leg's setup before the
+                # horizon; otherwise start_leg claims or queues as usual.
+                if horizon > self.t + self.setup_s and claimable(
+                    mesh, mesh.channel_path(src, dst), self.t, horizon
+                ):
+                    pending = Event(sim)
+            if pending is not None:
+                completion = pending
+            else:
+                completion = None
+                if mesh is not None:
+                    completion = start_leg(
+                        mesh, src, dst, nbytes, cap, RECV_OVERHEAD_S,
+                        at_tail=at_tail,
+                    )
+                if completion is None:
+                    completion = cluster._wire(
+                        self.origin, remote, nbytes, contiguous, direction
+                    )
+            if contiguous:
+                cpu_s = self.setup_s + self.dma_setup_s
+            else:
+                cpu_s = self.setup_s + cluster._pio_s(elements)
+            cluster._charge_leg(
+                self.origin, remote, nbytes, elements, contiguous, direction,
+                cpu_s, self.t0, self.t,
+            )
+            t = self.t
+            more = self._send((self.t0, t, cpu_s, completion))
+            if pending is not None:
+                channels = mesh.channel_path(src, dst)
+                hop_starts, body_start, body_s = leg_times(
+                    mesh, len(channels), t, nbytes, cap
+                )
+                t_rel = body_start + body_s
+                t_end = t_rel + RECV_OVERHEAD_S
+                nxt = None
+                if more:
+                    nxt = self._next_wire_time(t_end, contiguous, horizon)
+                if nxt is not None:
+                    book_leg(mesh, channels, hop_starts, t_rel, nbytes)
+                    pending._value = None
+                    pending._processed = True
+                    self._pass_dma(contiguous, t, t_end)
+                    self.t = nxt
+                    continue
+                claim_leg(
+                    mesh, channels, t, nbytes, cap, RECV_OVERHEAD_S,
+                    at_tail=at_tail, done=pending,
+                )
+            if more:
+                self._first_timer()
+            elif self.t == sim.now:
+                sim.fire(self.done, self.value)
+            else:
+                sim.pooled_timeout_at(self.t, self._on_finish)
+            return
+
+    def _next_wire_time(self, t_end: float, held: bool, horizon: float):
+        """When the (just fetched) current leg would reach the wire, if
+        the previous leg ends by ``t_end`` before then, that time lies
+        before ``horizon``, and the fast path could claim the leg then;
+        else ``None``.  ``held``: the previous leg holds the DMA engine."""
+        remote, _nbytes, elements, contiguous, direction = self.leg
+        at = self.t + self.setup_s
+        if contiguous:
+            if held:
+                at = max(at, t_end)
+            elif self.nic._dma.in_use:
+                return None  # a claimed leg holds it past the horizon
+            t = at + self.dma_setup_s
+        else:
+            t = at + self.cluster._pio_s(elements)
+        if not (t_end < t < horizon):
+            return None
+        if direction == "put":
+            channels = self.mesh.channel_path(self.origin, remote)
+        else:
+            channels = self.mesh.channel_path(remote, self.origin)
+        if not claimable(self.mesh, channels, t, horizon):
+            return None
+        return t
+
+    def _pass_dma(self, held: bool, t: float, t_end: float) -> None:
+        """The DMA engine across a booked leg: the booked leg (if it
+        ``held`` it) lets it go at ``t_end``; a contiguous next leg takes
+        it at its setup end, after queueing when it comes first."""
+        dma = self.nic._dma
+        if held:
+            dma.release()
+        if self.leg[3]:
+            dma.try_acquire()
+            tr = self.sim.tracer
+            if held and tr is not None and t_end > t + self.setup_s:
+                tr.count(f"resource.wait.{dma.obs_name}")
 
 
 class Cluster:
@@ -92,6 +345,8 @@ class Cluster:
                 self.vbusctl.width_bits = params.link.width_bits
             if self.ethernet is not None:
                 self.ethernet.injector = self.injector
+        #: One-sided legs run as callback streams (see :class:`_RmaStream`).
+        self.streams = params.fast_path and self.injector is None
 
     # -- shape -----------------------------------------------------------
     @property
@@ -198,14 +453,58 @@ class Cluster:
         computation until the next fence.  This is the paper's "data from
         the user buffer can be copied ... without interrupting the
         processor" for contiguous PUT/GET, and the processor-bound
-        element-by-element path for strided PUT/GET.
+        element-by-element path for strided PUT/GET.  One leg of
+        :meth:`rma_legs`.
         """
-        if direction not in ("put", "get"):
-            raise ValueError(f"bad RMA direction {direction!r}")
-        tr = self.sim.tracer
-        t0 = self.sim.now if tr is not None else 0.0
-        self._check_rank(origin)
-        self._check_rank(remote)
+        _t0, _t1, cpu_s, completion = yield from self.rma_legs(
+            origin, _one_leg((remote, nbytes, elements, contiguous, direction))
+        )
+        return cpu_s, completion
+
+    def rma_legs(self, origin: int, legs: Generator) -> Generator:
+        """Run the one-sided legs of the coroutine ``legs`` from ``origin``.
+
+        ``legs`` yields ``(remote, nbytes, elements, contiguous,
+        direction)`` per leg and is sent ``(t0, t1, cpu_s, completion)``
+        back: the caller was blocked over ``[t0, t1]``, ``cpu_s`` of it on
+        the CPU, and ``completion`` fires when the background wire leg
+        ends.  Legs start one after another, each when the previous one's
+        blocking phase ends; the coroutine builds each leg when it starts.
+        Returns what ``legs`` returns.
+
+        With the fast path on and no active fault plan the legs run as one
+        :class:`_RmaStream` and the caller yields once; otherwise each leg
+        is a :meth:`_rma_leg` generator (the stepwise oracle).
+        """
+        if self.streams:
+            stream = _RmaStream(self, origin, legs)
+            done = stream.start()
+            if done is None:
+                return stream.value
+            return (yield done)
+        try:
+            leg = next(legs)
+        except StopIteration as stop:
+            return stop.value
+        while True:
+            t0 = self.sim.now
+            cpu_s, completion = yield from self._rma_leg(origin, *leg)
+            try:
+                leg = legs.send((t0, self.sim.now, cpu_s, completion))
+            except StopIteration as stop:
+                return stop.value
+
+    def _rma_leg(
+        self, origin, remote, nbytes, elements, contiguous, direction
+    ) -> Generator:
+        """One leg as a generator: the oracle the streams reproduce.
+
+        It also runs every leg under an active fault plan; there the fast
+        path keeps its synchronous DMA take and merged PIO timer, and each
+        wire leg is an ``rma-wire`` process so faults interleave with
+        other traffic as the oracle orders them.
+        """
+        self._check_leg(origin, remote, direction)
         if elements is None:
             elements = max(1, nbytes // 8)
         if origin == remote or nbytes == 0:
@@ -213,91 +512,99 @@ class Cluster:
                 # No hardware leg: a pre-completed event costs zero kernel
                 # steps (the stepwise _noop process costs two per call).
                 return 0.0, self.sim.completed_event()
-            done = self.sim.process(_noop(), name="rma-local")
-            return 0.0, done
-
+            return 0.0, self.sim.process(_noop(), name="rma-local")
+        t0 = self.sim.now
         nic = self.nics[origin]
         setup_s = nic.software_setup_s()
         cpu_s = setup_s
-
-        src, dst = (origin, remote) if direction == "put" else (remote, origin)
-        if self.mesh is not None:
-            wire_call = lambda cap: self.mesh.unicast(src, dst, nbytes, cap)
-        else:
-            wire_call = lambda cap: self.ethernet.unicast(src, dst, nbytes, cap)
-
         fast = self.params.fast_path and self.mesh is not None
-        completion = None
         if not fast or contiguous:
             yield self.sim.timeout(setup_s)
         if contiguous:
-            # Fast path: take a free DMA engine synchronously (same
-            # simulated instant as the immediately-granted request).
             if not (fast and nic._dma.try_acquire()):
                 yield nic._dma.request()
             yield self.sim.timeout(self.params.nic.dma_setup_s)
             cpu_s += self.params.nic.dma_setup_s
-
-            if fast:
-                # The stepwise wire process releases the DMA engine in its
-                # ``finally`` — after the receive tail — so hook it there.
-                completion = start_leg(
-                    self.mesh, src, dst, nbytes,
-                    self.params.nic.dma_rate_Bps, RECV_OVERHEAD_S,
-                    at_tail=nic._dma.release,
-                )
-            if completion is None:
-
-                def wire():
-                    try:
-                        yield from wire_call(self.params.nic.dma_rate_Bps)
-                        yield self.sim.timeout(RECV_OVERHEAD_S)
-                    finally:
-                        nic._dma.release()
-
-            nic.dma_transfers += 1
         else:
-            pio = (
-                self.params.nic.pio_setup_s
-                + elements * self.params.nic.pio_per_element_s
-            )
+            pio = self._pio_s(elements)
             if fast:
                 # Merged setup + per-element copy: one event, bit-identical
                 # end time (sequential additions, as stepwise fires them).
-                yield self.sim.timeout_at((self.sim.now + setup_s) + pio)
+                yield self.sim.timeout_at((t0 + setup_s) + pio)
             else:
                 yield self.sim.timeout(pio)
             cpu_s += pio
-            nic.pio_elements += elements
+        completion = self._wire(origin, remote, nbytes, contiguous, direction)
+        self._charge_leg(
+            origin, remote, nbytes, elements, contiguous, direction, cpu_s,
+            t0, self.sim.now,
+        )
+        return cpu_s, completion
 
-            if fast:
-                completion = start_leg(
-                    self.mesh, src, dst, nbytes, None, RECV_OVERHEAD_S
-                )
-            if completion is None:
+    def _pio_s(self, elements: int) -> float:
+        """CPU seconds of a strided leg's per-element copy."""
+        nic = self.params.nic
+        return nic.pio_setup_s + elements * nic.pio_per_element_s
 
-                def wire():
-                    yield from wire_call(None)
+    def _check_leg(self, origin: int, remote: int, direction: str) -> None:
+        if direction != "put" and direction != "get":
+            raise ValueError(f"bad RMA direction {direction!r}")
+        n = self.params.nprocs
+        if not (0 <= origin < n and 0 <= remote < n):
+            self._check_rank(origin)
+            self._check_rank(remote)
+
+    def _wire(self, origin, remote, nbytes, contiguous, direction):
+        """The ``rma-wire`` process of one leg: the wire, the receive
+        tail, and (contiguous) the DMA engine's release after both."""
+        src, dst = (origin, remote) if direction == "put" else (remote, origin)
+        nic = self.nics[origin]
+        if self.mesh is not None:
+            wire_call = lambda cap: self.mesh.unicast(src, dst, nbytes, cap)
+        else:
+            wire_call = lambda cap: self.ethernet.unicast(src, dst, nbytes, cap)
+        if contiguous:
+
+            def wire():
+                try:
+                    yield from wire_call(self.params.nic.dma_rate_Bps)
                     yield self.sim.timeout(RECV_OVERHEAD_S)
+                finally:
+                    nic._dma.release()
 
-        if completion is None:
-            completion = self.sim.process(
-                wire(), name=f"rma-wire[{origin}->{remote}]"
-            )
+        else:
+
+            def wire():
+                yield from wire_call(None)
+                yield self.sim.timeout(RECV_OVERHEAD_S)
+
+        return self.sim.process(wire(), name=f"rma-wire[{origin}->{remote}]")
+
+    def _charge_leg(
+        self, origin, remote, nbytes, elements, contiguous, direction, cpu_s,
+        t0, t1,
+    ) -> None:
+        """NIC, host and trace accounting of one leg whose blocking phase
+        spans ``[t0, t1]``."""
+        nic = self.nics[origin]
+        if contiguous:
+            nic.dma_transfers += 1
+        else:
+            nic.pio_elements += elements
         nic.messages += 1
         nic.bytes += nbytes
         nic.cpu_busy_s += cpu_s
         self.hosts[origin].charge_comm_cpu(cpu_s)
+        tr = self.sim.tracer
         if tr is not None:
             # The CPU-occupied initiation phase; the wire/DMA leg shows up
             # on the channel tracks (and "wire" node spans) as it streams.
             tr.span(
                 ("node", origin), f"rma-{direction} {origin}->{remote}", t0,
-                args={"bytes": nbytes, "contiguous": contiguous,
-                      "cpu_s": cpu_s},
+                t1, args={"bytes": nbytes, "contiguous": contiguous,
+                          "cpu_s": cpu_s},
             )
             tr.count(f"rma.{direction}_bytes", nbytes, "B")
-        return cpu_s, completion
 
     # -- bookkeeping ---------------------------------------------------------
     def _check_rank(self, rank: int) -> None:

@@ -34,8 +34,8 @@ Exactness argument (the equivalence suite in
   the stepwise loop would have produced.  Promotions are counted in
   ``mesh.fast_promotions``; claim-time misses are broken down by cause
   in ``mesh.fast_fallback_{injector,frozen,peek,busy}``.
-* A contended one-sided leg (:func:`start_leg`, used by
-  ``Cluster.rma_start``) advances as a :class:`_QueuedLeg`: kernel
+* A contended one-sided leg (:func:`start_leg`, used by the put
+  streams of ``Cluster.rma_legs``) advances as a :class:`_QueuedLeg`: kernel
   callbacks, not a generator process, but the *same events* — same
   timestamps, priorities and scheduling order — as the stepwise
   ``rma-wire`` process: its URGENT start, per hop the channel grant,
@@ -57,6 +57,30 @@ Exactness argument (the equivalence suite in
   arithmetic ``interruptible_delay`` uses), releases the path, and runs
   the receive tail.
 
+* **Unwaited completions** (:func:`_complete`).  A leg whose completion
+  event has no callback when it ends is marked triggered and processed
+  without a heap entry.  Windows drain only legs not yet triggered, so
+  no callback can attach later, and dropping a no-op entry leaves every
+  acting entry in the same order.  (The peek guard above stops seeing
+  such entries; it stays sound, since they cannot act.)
+* **Booked legs** (:func:`book_leg`, driven by the RMA put streams in
+  :mod:`repro.vbus.cluster`).  At the moment a stream's leg reaches the
+  wire, let ``F = sim.peek()`` be the event horizon.  When the leg passes
+  the claim-time proof and its release and tail, and every phase of the
+  stream's next leg up to that leg's own wire time, end strictly before
+  ``F`` (and the next leg passes the proof then), nothing else can run
+  meanwhile: no entry pops before ``F``, a held channel stays held until
+  an entry at or after ``F`` releases it, only the stream's rank uses
+  its DMA engine, and a freeze can only start in a popped entry.  The
+  leg is then charged in closed form — per-channel ``busy_s`` and
+  ``messages`` (last hop first), :meth:`count_leg` and ``fast_legs``,
+  with the same float sums and explicit trace end times — and neither
+  claimed nor scheduled.  The last leg the stream cannot follow this
+  way is claimed for real (:func:`claim_leg`, possibly at a time ahead
+  of ``sim.now``).  The collect hotspot is not booked: there the next
+  channel is busy (real wormhole contention), which needs a per-channel
+  FIFO model rather than a horizon.
+
 Per-channel ``busy_s``/``messages`` counters stay exact because a claim
 backdates each channel's ``_acquired_at`` to the hop time the stepwise
 path would have acquired it at.
@@ -77,7 +101,10 @@ from typing import Callable, List, Optional
 
 from repro.sim.kernel import URGENT, Event
 
-__all__ = ["start_fast_leg", "start_leg", "try_promote"]
+__all__ = [
+    "book_leg", "claim_leg", "claimable", "leg_times", "start_fast_leg",
+    "start_leg", "try_promote",
+]
 
 
 class _FastLeg:
@@ -105,7 +132,7 @@ class _FastLeg:
     )
 
     def __init__(self, mesh, channels, hop_starts, body_start, body_s, tail_s,
-                 nbytes, at_release, at_tail, span_t0=None):
+                 nbytes, at_release, at_tail, span_t0=None, done=None):
         self.mesh = mesh
         self.sim = mesh.sim
         self.domain = mesh.domain
@@ -123,8 +150,9 @@ class _FastLeg:
         self.tail_s = tail_s
         self.at_release = at_release
         self.at_tail = at_tail
-        #: The caller-visible completion event (succeeds at ``t_end``).
-        self.done = Event(self.sim)
+        #: The caller-visible completion event (succeeds at ``t_end``); a
+        #: put stream passes the one it already handed to the window.
+        self.done = Event(self.sim) if done is None else done
         self._release_ev = self.sim.pooled_timeout_at(self.t_rel, self._on_release)
         self._tail_ev = self.sim.pooled_timeout_at(self.t_end, self._on_tail)
         self.domain.register_fast_leg(self)
@@ -139,7 +167,7 @@ class _FastLeg:
         """Receive-side dequeue done at ``t_end``."""
         if self.at_tail is not None:
             self.at_tail()
-        self.done.succeed()
+        _complete(self.done)
 
     def _release_channels(self) -> None:
         channels = self.channels
@@ -193,13 +221,13 @@ class _FastLeg:
         yield self.sim.timeout(self.tail_s)
         if self.at_tail is not None:
             self.at_tail()
-        self.done.succeed()
+        _complete(self.done)
 
 
 class _QueuedLeg:
     """A contended wire leg driven by kernel callbacks instead of a process.
 
-    Event-for-event mirror of the ``rma-wire`` process ``Cluster.rma_start``
+    Event-for-event mirror of the ``rma-wire`` process ``Cluster._rma_leg``
     runs without the fast path: :meth:`WormholeMesh.unicast`, the
     receive-tail timeout, then ``at_tail``.  Every kernel event that
     process schedules is scheduled here too — same time, same priority,
@@ -302,7 +330,7 @@ class _QueuedLeg:
     def _on_tail(self, _ev) -> None:
         if self.at_tail is not None:
             self.at_tail()
-        self.done.succeed()
+        _complete(self.done)
 
     # -- FreezeDomain.interruptible_delay, unrolled into callbacks ----------
     def _delay(self, duration: float, then) -> None:
@@ -351,6 +379,88 @@ class _QueuedLeg:
         self.timer = None
         self.remaining -= self.sim.now - self.started
         self._wait()
+
+
+def _complete(done: Event) -> None:
+    """Succeed a leg's completion event.
+
+    One nobody waits on is marked triggered and processed without a heap
+    entry: windows drain only legs that are not yet triggered, so no
+    callback can attach later, and dropping a no-op entry leaves every
+    other entry in the same order.
+    """
+    if done._cb1 is None and done._cbs is None:
+        done._value = None
+        done._processed = True
+    else:
+        done.succeed()
+
+
+def leg_times(mesh, hops: int, t: float, nbytes: int,
+              rate_cap_Bps: Optional[float]):
+    """``(hop_starts, body_start, body_s)`` of a leg whose head enters
+    the first of ``hops`` channels at ``t``, by the stepwise additions."""
+    rd = mesh.link.router_delay_s
+    hop_starts: List[float] = []
+    for _ in range(hops):
+        hop_starts.append(t)
+        t = t + rd
+    rate = mesh.link_rate_Bps
+    if rate_cap_Bps is not None:
+        rate = min(rate, rate_cap_Bps)
+    return hop_starts, t, nbytes / rate
+
+
+def claimable(mesh, channels, t: float, horizon: float) -> bool:
+    """The claim-time proof for a leg injected at ``t`` over ``channels``
+    when the next foreign heap entry is at ``horizon`` (the caller
+    checks the injector and the freeze domain)."""
+    h = len(channels)
+    if h > 1 and not (horizon > t + (h - 1) * mesh.link.router_delay_s):
+        return False
+    for ch in channels:
+        if not ch.is_free:
+            return False
+    return True
+
+
+def claim_leg(mesh, channels, t: float, nbytes: int,
+              rate_cap_Bps: Optional[float], tail_s: float,
+              at_release=None, at_tail=None, done=None) -> _FastLeg:
+    """Claim ``channels`` for an analytic leg injected at ``t``.
+
+    ``t`` may lie ahead of ``sim.now`` when a put stream books ahead of
+    the event horizon: each channel is backdated (forward-dated) to its
+    stepwise hop time either way, and the leg's two events are
+    scheduled at absolute times.
+    """
+    hop_starts, body_start, body_s = leg_times(
+        mesh, len(channels), t, nbytes, rate_cap_Bps
+    )
+    for ch, hop_t in zip(channels, hop_starts):
+        ch.claim(hop_t)
+    mesh.fast_legs += 1
+    return _FastLeg(
+        mesh, channels, hop_starts, body_start, body_s, tail_s,
+        nbytes, at_release, at_tail, done=done,
+    )
+
+
+def book_leg(mesh, channels, hop_starts, t_rel: float, nbytes: int) -> None:
+    """Charge a whole analytic leg that ends before the event horizon.
+
+    Nothing is claimed or scheduled: no other entry can run before the
+    leg's release, so only its accounting is visible.  That accounting
+    is the claimed leg's, in its order: each channel's message and
+    ``busy_s`` (released last hop first), then :meth:`count_leg`.
+    """
+    for ch, hop_t in zip(reversed(channels), reversed(hop_starts)):
+        ch.book(hop_t, t_rel)
+    mesh.count_leg(
+        channels[0].u, channels[-1].v, nbytes, len(channels), hop_starts[0],
+        t1=t_rel,
+    )
+    mesh.fast_legs += 1
 
 
 def start_fast_leg(
@@ -405,25 +515,10 @@ def start_fast_leg(
             mesh.fast_fallback_busy += 1
             return None
 
-    # Claim the path; per-hop timestamps follow stepwise float arithmetic.
-    hop_starts: List[float] = []
-    t = now
-    for ch in channels:
-        ch.claim(t)
-        hop_starts.append(t)
-        t = t + rd
-    body_start = t
-    rate = mesh.link_rate_Bps
-    if rate_cap_Bps is not None:
-        rate = min(rate, rate_cap_Bps)
-    body_s = nbytes / rate
-
-    mesh.fast_legs += 1
-    leg = _FastLeg(
-        mesh, channels, hop_starts, body_start, body_s, tail_s,
-        nbytes, at_release, at_tail,
-    )
-    return leg.done
+    return claim_leg(
+        mesh, channels, now, nbytes, rate_cap_Bps, tail_s,
+        at_release=at_release, at_tail=at_tail,
+    ).done
 
 
 def try_promote(
@@ -472,17 +567,11 @@ def try_promote(
     # arithmetic from *this* claim boundary.  ``r == 0`` (body-only) and
     # ``r == 1`` need no peek guard: the claim point coincides with the
     # stepwise acquire, and a held path cannot be stolen.
-    hop_starts: List[float] = []
-    t = now
-    for ch in rest:
+    hop_starts, body_start, body_s = leg_times(
+        mesh, r, now, nbytes, rate_cap_Bps
+    )
+    for ch, t in zip(rest, hop_starts):
         ch.claim(t)
-        hop_starts.append(t)
-        t = t + rd
-    body_start = t
-    rate = mesh.link_rate_Bps
-    if rate_cap_Bps is not None:
-        rate = min(rate, rate_cap_Bps)
-    body_s = nbytes / rate
 
     mesh.fast_promotions += 1
     # tail_s=0: the stepwise caller (the NIC) still serves the receive

@@ -63,6 +63,16 @@ class Channel:
         self._acquired_at = acquired_at
         self.messages += 1
 
+    def book(self, acquired_at: float, released_at: float) -> None:
+        """Account one message held over ``[acquired_at, released_at]``
+        without taking the channel: a leg booked ahead of the event
+        horizon, which nothing else can observe (see fastpath)."""
+        self.messages += 1
+        tr = self.sim.tracer
+        if tr is not None:
+            tr.span(("chan", self.name), "held", acquired_at, released_at)
+        self.busy_s += released_at - acquired_at
+
     def release(self) -> None:
         if self._acquired_at is not None:
             tr = self.sim.tracer
@@ -210,12 +220,14 @@ class WormholeMesh:
         return self.sim.now - t0
 
     def count_leg(
-        self, src: int, dst: int, nbytes: int, hops: int, t0: float
+        self, src: int, dst: int, nbytes: int, hops: int, t0: float,
+        t1: Optional[float] = None,
     ) -> None:
         """Account one finished wire leg: stats and the ``wire`` span.
 
         Every leg flavour (stepwise, analytic, queued) calls this at wire
         end, after releasing its path, so the counters and traces agree.
+        A booked leg passes its wire end as ``t1`` (default: now).
         """
         self.messages += 1
         self.bytes += nbytes
@@ -223,7 +235,7 @@ class WormholeMesh:
         tr = self.sim.tracer
         if tr is not None:
             tr.span(
-                ("node", src), f"wire {src}->{dst}", t0,
+                ("node", src), f"wire {src}->{dst}", t0, t1,
                 args={"bytes": nbytes, "hops": hops},
             )
             tr.count("mesh.messages")

@@ -51,6 +51,17 @@ WORKLOAD_KINDS = ("MM", "SWIM", "CFFZINIT", "JACOBI", "XOVER", "PXOVER")
 
 _SPEC_RE = re.compile(r"^([A-Z]+)(?:-(\d+)(?:x(\d+))?)?$")
 
+#: kind -> (smallest SIZE, largest SIZE or None, smallest EXTRA): the
+#: floors the source generators enforce, checked when a spec is parsed.
+_LIMITS = {
+    "MM": (1, None, 0),
+    "SWIM": (8, None, 0),
+    "CFFZINIT": (2, 24, 0),
+    "JACOBI": (8, None, 0),
+    "XOVER": (8, None, 1),
+    "PXOVER": (8, None, 1),
+}
+
 
 def parse_spec(spec: str) -> Tuple[str, Optional[int], Optional[int]]:
     """Split a workload spec like ``MM-256`` or ``JACOBI-64x10``.
@@ -61,7 +72,8 @@ def parse_spec(spec: str) -> Tuple[str, Optional[int], Optional[int]]:
     steps), ``XOVER`` (the mixed-grain crossover kernel, SIZE = n,
     EXTRA = stride), ``PXOVER`` (the mixed-partition crossover kernel,
     SIZE = n, EXTRA = width), and the test-only ``CRASH``.  Raises
-    :class:`WorkloadSpecError` on anything else.
+    :class:`WorkloadSpecError` on anything else, and on a SIZE or EXTRA
+    below the generator's floor (``SWIM-4``, ``XOVER-64x0``).
     """
     m = _SPEC_RE.match(spec or "")
     if not m:
@@ -76,6 +88,17 @@ def parse_spec(spec: str) -> Tuple[str, Optional[int], Optional[int]]:
     if size is None:
         raise WorkloadSpecError(
             f"workload {spec!r} needs a size (e.g. {kind}-64)"
+        )
+    lo, hi, extra_lo = _LIMITS[kind]
+    if size < lo or (hi is not None and size > hi):
+        span = f"{lo}..{hi}" if hi is not None else f">= {lo}"
+        raise WorkloadSpecError(
+            f"workload {spec!r}: {kind} size must be {span}, got {size}"
+        )
+    if extra is not None and extra < extra_lo:
+        raise WorkloadSpecError(
+            f"workload {spec!r}: {kind} extra must be >= {extra_lo}, "
+            f"got {extra}"
         )
     return kind, size, extra
 
@@ -103,8 +126,8 @@ def source_for(spec: str) -> str:
 
 
 def is_spec(candidate: str) -> bool:
-    """Whether a string parses as a runnable workload spec."""
-    try:
-        return parse_spec(candidate)[0] in WORKLOAD_KINDS
-    except WorkloadSpecError:
-        return False
+    """Whether a string is meant as a workload spec: the grammar and a
+    kind with a source.  Its sizes may still be out of range, which
+    :func:`source_for` reports as a :class:`WorkloadSpecError`."""
+    m = _SPEC_RE.match(candidate or "")
+    return bool(m) and m.group(1) in WORKLOAD_KINDS and bool(m.group(2))

@@ -17,6 +17,7 @@ from repro.sim import AllOf, AnyOf, Process, Simulator
 from repro.vbus import cluster as cluster_mod
 from repro.vbus import fastpath
 from repro.vbus.cluster import Cluster
+from repro.vbus.nic import RECV_OVERHEAD_S
 from repro.vbus.params import VBUS_SKWP
 
 #: Keys that only exist (or only count) on the fast path.
@@ -28,22 +29,30 @@ def _params(rows, cols, fast):
     return replace(VBUS_SKWP, mesh=(rows, cols), fast_path=fast)
 
 
-def _snapshot(cluster, records):
-    stats = {k: v for k, v in cluster.stats().items() if not _is_fast_key(k)}
+def _snapshot(cluster, records, fast_keys=False):
+    stats = {
+        k: v for k, v in cluster.stats().items()
+        if fast_keys or not _is_fast_key(k)
+    }
     channels = {
         key: (ch.messages, ch.busy_s)
         for key, ch in cluster.mesh.channels.items()
     }
-    return {
+    snap = {
         "now": cluster.sim.now,
         "records": sorted(records),
         "stats": stats,
         "channels": channels,
     }
+    if cluster.tracer is not None:
+        snap["spans"] = sorted(map(repr, cluster.tracer.spans))
+        snap["metrics"] = cluster.tracer.metrics.rows()
+    return snap
 
 
-def _run(params, scenario, sim=None):
-    """Run ``scenario(cluster, records)`` -> list of (name, generator)."""
+def _run(params, scenario, sim=None, fast_keys=False):
+    """Run ``scenario(cluster, records)`` -> list of (name, generator);
+    ``fast_keys`` keeps the fast-path counters in the snapshot."""
     sim = sim or Simulator()
     cluster = Cluster(sim, params)
     records = []
@@ -62,16 +71,18 @@ def _run(params, scenario, sim=None):
     for name, gen in scenario(cluster, records):
         sim.process(wrap(name, gen), name=name)
     sim.run()
-    return _snapshot(cluster, records)
+    return _snapshot(cluster, records, fast_keys)
 
 
-def assert_equivalent(rows, cols, scenario):
-    slow = _run(_params(rows, cols, False), scenario)
-    fast = _run(_params(rows, cols, True), scenario)
+def assert_equivalent(rows, cols, scenario, trace=False):
+    slow = _run(replace(_params(rows, cols, False), trace=trace), scenario)
+    fast = _run(replace(_params(rows, cols, True), trace=trace), scenario)
     assert fast["now"] == slow["now"]
     assert fast["records"] == slow["records"]
     assert fast["stats"] == slow["stats"]
     assert fast["channels"] == slow["channels"]
+    assert fast.get("spans") == slow.get("spans")
+    assert fast.get("metrics") == slow.get("metrics")
 
 
 MESHES = [(2, 2), (2, 4)]
@@ -417,18 +428,32 @@ COLLECT_PUTS = 2
 FREEZES = ["none", "queue", "head", "inject", "short"]
 
 
-def _collect_scenario(contiguous, bcast_at=None, freeze=None):
+def _legs(puts, completions):
+    """An ``rma_legs`` coroutine putting ``(remote, nbytes, contiguous)``
+    for each of ``puts``; collects the completion events."""
+    for remote, nbytes, contiguous in puts:
+        _t0, _t1, _cpu, done = yield (
+            remote, nbytes, None, contiguous, "put"
+        )
+        completions.append(done)
+
+
+def _collect_scenario(contiguous, bcast_at=None, freeze=None, stream=False):
     """Ranks 1..15 of a 4x4 mesh each put twice to rank 0 at once (the
     master/slave collect hotspot).  Optionally rank 0 starts a hardware
     broadcast at ``bcast_at``, or the domain freezes directly for
-    ``freeze = (at, seconds)``."""
+    ``freeze = (at, seconds)``.  ``stream``: each origin issues its puts
+    as one ``rma_legs`` call, not one ``rma_start`` per put."""
 
     def scenario(cluster, records):
         sim = cluster.sim
 
         def origin(rank):
             pending = []
-            for _ in range(COLLECT_PUTS):
+            if stream:
+                puts = [(0, COLLECT_BYTES, contiguous)] * COLLECT_PUTS
+                yield from cluster.rma_legs(rank, _legs(puts, pending))
+            for _ in range(0 if stream else COLLECT_PUTS):
                 _cpu, done = yield from cluster.rma_start(
                     rank, 0, COLLECT_BYTES, elements=COLLECT_BYTES // 8,
                     contiguous=contiguous,
@@ -505,7 +530,7 @@ def _queued_grants(scenario, monkeypatch):
     return grants
 
 
-def _hotspot(contiguous, where, monkeypatch):
+def _hotspot(contiguous, where, monkeypatch, stream=False):
     """The collect hotspot with a freeze landing ``where``:
 
     * ``queue`` — a broadcast while legs wait in a channel queue (10 us
@@ -517,24 +542,28 @@ def _hotspot(contiguous, where, monkeypatch):
       before the hop's timer would have fired.
     """
     if where == "none":
-        return _collect_scenario(contiguous)
+        return _collect_scenario(contiguous, stream=stream)
     t_inject = _first_put_injection(contiguous)
     if where == "queue":
         return _collect_scenario(
-            contiguous, _bcast_start_for_freeze_at(t_inject + 10e-6)
+            contiguous, _bcast_start_for_freeze_at(t_inject + 10e-6),
+            stream=stream,
         )
     if where == "inject":
         return _collect_scenario(
-            contiguous, _bcast_start_for_freeze_at(t_inject)
+            contiguous, _bcast_start_for_freeze_at(t_inject), stream=stream
         )
     rd = VBUS_SKWP.link.router_delay_s
     grant = _queued_grants(_collect_scenario(contiguous), monkeypatch)[4]
     if where == "head":
         return _collect_scenario(
-            contiguous, _bcast_start_for_freeze_at(grant + rd / 2)
+            contiguous, _bcast_start_for_freeze_at(grant + rd / 2),
+            stream=stream,
         )
     assert where == "short"
-    return _collect_scenario(contiguous, freeze=(grant + rd / 2, rd / 4))
+    return _collect_scenario(
+        contiguous, freeze=(grant + rd / 2, rd / 4), stream=stream
+    )
 
 
 @pytest.mark.parametrize("where", FREEZES)
@@ -580,19 +609,31 @@ class _LoggingSimulator(Simulator):
         super()._step()
 
 
+def _acting(popped):
+    """The popped entries that run a callback, each seq replaced by its
+    rank among them: entries nobody waits on (a finished ``rma-wire``
+    process, a leg completion no drain holds) are dropped by the fast
+    path, which shifts the seq values but not their order."""
+    acting = [entry for entry in popped if entry[3] is not None]
+    rank = {seq: i for i, seq in enumerate(sorted(e[2] for e in acting))}
+    return [(when, prio, rank[seq], what) for when, prio, seq, what in acting]
+
+
 @pytest.mark.parametrize("where", FREEZES)
 @pytest.mark.parametrize("contiguous", [True, False])
 def test_queued_legs_pop_the_rma_wire_events(contiguous, where, monkeypatch):
     """Queued legs schedule exactly the kernel events of the ``rma-wire``
-    processes they replace: same times, priorities and order."""
+    processes they replace: same times, priorities and order of every
+    entry that acts."""
     scenario = _hotspot(contiguous, where, monkeypatch)
     runs = []
-    # start_fast_leg returns None on a miss, so rma_start then falls
+    # start_fast_leg returns None on a miss, so the put stream then falls
     # back to an rma-wire process; start_leg queues the leg instead.
     for start in (fastpath.start_fast_leg, fastpath.start_leg):
         monkeypatch.setattr(cluster_mod, "start_leg", start)
         sim = _LoggingSimulator()
-        runs.append((_run(_params(4, 4, True), scenario, sim), sim.popped))
+        snapshot = _run(_params(4, 4, True), scenario, sim)
+        runs.append((snapshot, _acting(sim.popped)))
     assert runs[1] == runs[0]
 
 
@@ -631,3 +672,236 @@ def test_active_fault_plan_keeps_rma_wire_processes(contiguous):
     assert cluster.mesh.fast_legs == 0
     wires = [n for n in names if n.startswith("rma-wire")]
     assert len(wires) == (cluster.nprocs - 1) * COLLECT_PUTS
+
+
+# ---------------------------------------------------------------------------
+# Put streams: one rank's puts as one callback chain
+# ---------------------------------------------------------------------------
+def _generator_leg(cluster, origin, remote, nbytes, elements, contiguous,
+                   direction):
+    """A fast-path leg as one generator per put (the put loop the streams
+    replace): setup timer, DMA take or grant, ``dma_setup`` timer (or
+    the merged PIO timer), then ``start_leg``."""
+    sim = cluster.sim
+    nic = cluster.nics[origin]
+    if elements is None:
+        elements = max(1, nbytes // 8)
+    if origin == remote or nbytes == 0:
+        return 0.0, sim.completed_event()
+    t0 = sim.now
+    setup_s = nic.software_setup_s()
+    src, dst = (origin, remote) if direction == "put" else (remote, origin)
+    if contiguous:
+        yield sim.timeout(setup_s)
+        if not nic._dma.try_acquire():
+            yield nic._dma.request()
+        yield sim.timeout(cluster.params.nic.dma_setup_s)
+        cpu_s = setup_s + cluster.params.nic.dma_setup_s
+        done = fastpath.start_leg(
+            cluster.mesh, src, dst, nbytes, cluster.params.nic.dma_rate_Bps,
+            RECV_OVERHEAD_S, at_tail=nic._dma.release,
+        )
+    else:
+        pio = cluster._pio_s(elements)
+        yield sim.timeout_at((t0 + setup_s) + pio)
+        cpu_s = setup_s + pio
+        done = fastpath.start_leg(
+            cluster.mesh, src, dst, nbytes, None, RECV_OVERHEAD_S
+        )
+    cluster._charge_leg(
+        origin, remote, nbytes, elements, contiguous, direction, cpu_s, t0,
+        sim.now,
+    )
+    return cpu_s, done
+
+
+def _origin_label(popped):
+    """Name every entry that advances an origin's puts ``origin``: a
+    stream callback, or the origin process itself in the generator run."""
+    out = []
+    for when, prio, seq, what in popped:
+        if what and (what.startswith("put") or what.startswith("_RmaStream")):
+            what = "origin"
+        out.append((when, prio, seq, what))
+    return out
+
+
+@pytest.mark.parametrize("where", FREEZES)
+@pytest.mark.parametrize("contiguous", [True, False])
+def test_put_streams_pop_the_generator_put_loop_events(
+    contiguous, where, monkeypatch
+):
+    """With booking off, a put stream pops exactly the entries of the
+    generator put loop: same times, priorities and relative order."""
+    scenario = _hotspot(contiguous, where, monkeypatch, stream=True)
+    monkeypatch.setattr(
+        cluster_mod._RmaStream, "_next_wire_time", lambda *a: None
+    )
+    runs = []
+    for streams in (False, True):
+        sim = _LoggingSimulator()
+        with monkeypatch.context() as m:
+            if not streams:
+                m.setattr(Cluster, "_rma_leg", _generator_leg)
+                init = Cluster.__init__
+
+                def no_streams(self, *a, **k):
+                    init(self, *a, **k)
+                    self.streams = False
+
+                m.setattr(Cluster, "__init__", no_streams)
+            snapshot = _run(_params(4, 4, True), scenario, sim)
+        runs.append((snapshot, _acting(_origin_label(sim.popped))))
+    assert runs[1] == runs[0]
+
+
+def _spy_booking(monkeypatch):
+    """Count legs the streams book and legs they claim."""
+    seen = {"booked": 0, "claimed": 0}
+    book, claim = cluster_mod.book_leg, cluster_mod.claim_leg
+
+    def booked(*a, **k):
+        seen["booked"] += 1
+        return book(*a, **k)
+
+    def claimed(*a, **k):
+        seen["claimed"] += 1
+        return claim(*a, **k)
+
+    monkeypatch.setattr(cluster_mod, "book_leg", booked)
+    monkeypatch.setattr(cluster_mod, "claim_leg", claimed)
+    return seen
+
+
+def _scatter(batches, extra=()):
+    """Rank 0 issues each batch of ``(remote, nbytes, contiguous)`` puts
+    as one stream, then drains; ``extra`` jobs run alongside."""
+
+    def scenario(cluster, records):
+        sim = cluster.sim
+
+        def master():
+            pending = []
+            for puts in batches:
+                yield from cluster.rma_legs(0, _legs(puts, pending))
+            live = [p for p in pending if not p.triggered]
+            if live:
+                yield AllOf(sim, live)
+            return sim.now
+
+        return [("master", master())] + [
+            (name, job(cluster)) for name, job in extra
+        ]
+
+    return scenario
+
+
+SCATTER = [(r, 2048, True) for r in range(1, 16)]
+
+
+def _later(at, work):
+    def job(cluster):
+        yield cluster.sim.timeout(at)
+        out = yield from work(cluster)
+        return out
+
+    return job
+
+
+BOOKING = {
+    # A foreign timer inside the stream: booking stops at it, and the
+    # legs after it book again from the next horizon.
+    "foreign": _scatter(
+        [SCATTER],
+        [("foreign", _later(230e-6, lambda c: c.transfer(1, 3, 8192)))],
+    ),
+    # A broadcast whose first entry lies just past a booked run: its
+    # freeze demotes the claimed leg that ends the run.
+    "bcast": _scatter(
+        [SCATTER],
+        [("bcast", _later(300e-6, lambda c: c.hw_broadcast(3, 4096)))],
+    ),
+    # Single-hop legs pass the head-window guard at any horizon, so only
+    # the horizon itself stops booking before the freeze.
+    "one_hop_bcast": _scatter(
+        [[(1, 2048, True)] * 15],
+        [("bcast", _later(300e-6, lambda c: c.hw_broadcast(3, 4096)))],
+    ),
+    # A long foreign leg holds 1->2 before the stream starts: the leg to
+    # 8 may not be booked, since the next one (to 2) must queue.
+    "held_route": _scatter(
+        [[(4, 2048, True), (8, 2048, True), (2, 2048, True),
+          (3, 2048, True), (12, 2048, True)]],
+        [("foreign", _later(1e-6, lambda c: c.transfer(1, 3, 65536)))],
+    ),
+    "two_windows": _scatter([SCATTER, SCATTER[::-1]]),
+    "strided": _scatter([[(r, 1024, False) for r in range(1, 16)]]),
+    "mixed": _scatter([
+        [(1, 2048, True), (0, 2048, True), (2, 0, True), (3, 512, False),
+         (4, 2048, True), (0, 64, False), (5, 4096, True), (6, 256, False),
+         (7, 2048, True)],
+    ]),
+}
+
+
+@pytest.mark.parametrize("trace", [False, True])
+@pytest.mark.parametrize("name", sorted(BOOKING))
+def test_booked_puts_match_stepwise(name, trace, monkeypatch):
+    """Puts booked ahead of the event horizon: end times, receipts,
+    counters, per-channel (messages, busy_s) and (traced) every span
+    equal the stepwise oracle's."""
+    seen = _spy_booking(monkeypatch)
+    assert_equivalent(4, 4, BOOKING[name], trace=trace)
+    assert seen["booked"] > 0
+    if name in ("foreign", "bcast", "one_hop_bcast", "two_windows"):
+        assert seen["claimed"] > 1  # booking stopped and resumed
+    # Booked legs count as fast legs: every fast-path counter equals a
+    # run whose streams never book.
+    fast = _run(_params(4, 4, True), BOOKING[name], fast_keys=True)["stats"]
+    monkeypatch.setattr(
+        cluster_mod._RmaStream, "_next_wire_time", lambda *a: None
+    )
+    unbooked = _run(
+        _params(4, 4, True), BOOKING[name], fast_keys=True
+    )["stats"]
+    assert fast == unbooked
+
+
+def test_booking_stops_at_the_horizon(monkeypatch):
+    """No booked leg's tail reaches the next foreign entry."""
+    ends = []
+    book = cluster_mod.book_leg
+
+    def spy(mesh, channels, hop_starts, t_rel, nbytes):
+        ends.append((mesh.sim.now, t_rel + RECV_OVERHEAD_S))
+        return book(mesh, channels, hop_starts, t_rel, nbytes)
+
+    monkeypatch.setattr(cluster_mod, "book_leg", spy)
+    _run(_params(4, 4, True), BOOKING["foreign"])
+    assert ends
+    foreign = 230e-6
+    for booked_at, tail in ends:
+        assert tail < foreign or booked_at >= foreign
+
+
+def test_unwaited_completions_are_not_scheduled():
+    """A leg completion nobody waits on is retired without a heap
+    entry; one a drain holds still wakes it."""
+    params = _params(2, 2, True)
+    sim = Simulator()
+    cluster = Cluster(sim, params)
+    out = {}
+
+    def origin():
+        _cpu, first = yield from cluster.rma_start(0, 1, 4096)
+        _cpu, second = yield from cluster.rma_start(0, 1, 4096)
+        yield sim.timeout(1.0)  # both legs end while nobody waits
+        out["first"] = (first.triggered, first.processed)
+        _cpu, third = yield from cluster.rma_start(0, 1, 4096)
+        yield third
+        out["third"] = sim.now
+
+    sim.process(origin())
+    sim.run()
+    assert out["first"] == (True, True)
+    assert out["third"] > 1.0

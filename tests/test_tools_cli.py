@@ -152,3 +152,25 @@ def test_cli_bad_arguments_exit_2_without_traceback(argv, message, capsys):
     err = capsys.readouterr().err
     assert message in err
     assert "Traceback" not in err
+
+
+def test_cli_bug_pragma_without_effect_exits_2(capsys):
+    """A seeded-bug pragma that finds nothing to mutate under the given
+    options is one ``repro:`` line and exit 2, not a traceback."""
+    bad = str(BADPROG_DIR / "race_coarse_collect.f")
+    assert main(["check", bad, "--granularity", "fine", "--no-cache"]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("repro: C$BUG KEEP-GRAIN")
+    assert "granularity=fine" in err[0]
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "SWIM-4", "--nprocs", "8"],
+    ["run", "XOVER-4", "--nprocs", "3"],
+])
+def test_cli_spec_below_floor_exits_2(argv, capsys):
+    assert main(argv) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("repro: workload") and "size must be" in err[0]

@@ -80,3 +80,31 @@ def test_synthetic_validation():
         synthetic.stride_kernel(8, 0)
     with pytest.raises(ValueError):
         synthetic.phased_stride_kernel(8, 0)
+
+
+# One row per spec kind: (the smallest spec that builds, one below it).
+SPEC_FLOORS = [
+    ("MM-1", "MM-0"),
+    ("SWIM-8", "SWIM-7"),
+    ("CFFZINIT-2", "CFFZINIT-1"),
+    ("JACOBI-8", "JACOBI-7"),
+    ("XOVER-8", "XOVER-7"),
+    ("PXOVER-8", "PXOVER-7"),
+]
+
+
+@pytest.mark.parametrize("at_floor,below", SPEC_FLOORS)
+def test_spec_size_floors_are_parse_errors(at_floor, below):
+    from repro.workloads import WorkloadSpecError, parse_spec, source_for
+
+    assert source_for(at_floor)
+    with pytest.raises(WorkloadSpecError, match="size must be"):
+        parse_spec(below)
+
+
+@pytest.mark.parametrize("spec", ["CFFZINIT-25", "XOVER-64x0", "PXOVER-64x0"])
+def test_spec_ceilings_and_extras_are_parse_errors(spec):
+    from repro.workloads import WorkloadSpecError, parse_spec
+
+    with pytest.raises(WorkloadSpecError):
+        parse_spec(spec)

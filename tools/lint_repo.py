@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Repo-convention lints the generic toolchain can't express.
 
-Two rules, both load-bearing for reproducibility contracts:
+Three rules, all load-bearing for reproducibility contracts:
 
 1. **No wall clocks in the simulator** (``src/repro/sim``,
    ``src/repro/vbus``): every quantity those layers produce must be
@@ -13,6 +13,13 @@ Two rules, both load-bearing for reproducibility contracts:
    ...``) must sit under an ``if`` — unconditionally emitting the key
    changes the bytes of every previously-committed artifact and cache
    row (the byte-compat convention of docs/SWEEP.md and docs/CHECK.md).
+
+3. **Only the kernel moves the clock**: outside ``src/repro/sim`` no
+   code may assign a :class:`~repro.sim.Simulator` private field
+   (``_now``, ``_seq``, ``_queue``).  Layers that run ahead of the heap
+   (the RMA put streams booking legs before the event horizon) keep
+   their own clock and schedule through kernel methods, so every heap
+   entry keeps its ``(time, priority, seq)`` order.
 
 Usage::
 
@@ -91,6 +98,34 @@ def lint_wall_clock(findings):
                         )
 
 
+#: Simulator fields only the kernel may assign.
+KERNEL_PRIVATE = {"_now", "_seq", "_queue"}
+
+
+def lint_kernel_private(findings):
+    for path in _iter_py(("src/repro",)):
+        if path.is_relative_to(REPO / "src/repro/sim"):
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+                targets = [node.target]
+            else:
+                continue
+            for target in targets:
+                for sub in ast.walk(target):
+                    if isinstance(sub, ast.Attribute) and (
+                        sub.attr in KERNEL_PRIVATE
+                    ):
+                        findings.append(
+                            f"{path.relative_to(REPO)}:{node.lineno}: "
+                            f"assigns Simulator field {sub.attr} outside "
+                            f"src/repro/sim (schedule through the kernel)"
+                        )
+
+
 def _optional_key_of(stmt):
     """The registered optional key a statement assigns, or None."""
     if not isinstance(stmt, ast.Assign) or len(stmt.targets) != 1:
@@ -142,6 +177,7 @@ def main() -> int:
     findings = []
     lint_wall_clock(findings)
     lint_jsonable(findings)
+    lint_kernel_private(findings)
     if findings:
         print("\n".join(findings))
         return 1
