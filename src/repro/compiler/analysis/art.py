@@ -28,15 +28,16 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.compiler.analysis.access import (
     AccessError,
+    AccessRecord,
     LoopCtx,
     loop_context,
-    ref_offset_affine,
+    record_accesses,
 )
 from repro.compiler.analysis.intaffine import Affine
 from repro.compiler.frontend import fast as F
 from repro.compiler.frontend.symtab import SymbolTable
 
-__all__ = ["DependenceReport", "ArrayAccess", "collect_accesses", "test_loop_parallel"]
+__all__ = ["DependenceReport", "ArrayAccess", "art_accesses", "test_loop_parallel"]
 
 #: Caps for the exact tier.
 _EXACT_MAX_ITERS = 768
@@ -68,82 +69,49 @@ class DependenceReport:
 # ---------------------------------------------------------------------------
 
 
-def collect_accesses(
-    loop: F.Do,
-    symtab: SymbolTable,
-    env: Optional[Dict[str, int]] = None,
-    pctx: Optional[LoopCtx] = None,
+def art_accesses(
+    record: AccessRecord, pctx: Optional[LoopCtx] = None
 ) -> List[ArrayAccess]:
-    """All array accesses in the loop body, with their inner-loop context.
+    """The ART's view of a loop body's record: each array reference once
+    (no subscript echoes), with its offset and inner-loop context.
 
-    ``pctx`` (the candidate loop's own bounds) lets triangular inner loops
-    widen conservatively instead of degrading to non-affine.
+    Inner loops resolve against the record's env; failing that, they
+    widen over ``pctx`` (the candidate loop's own bounds, so triangular
+    nests stay affine); failing that too, every access inside is
+    non-affine.
     """
-    env = env or {}
     out: List[ArrayAccess] = []
-
-    def ref_access(ref: F.ArrayRef, kind: str, inner, conditional) -> None:
-        try:
-            aff = ref_offset_affine(ref, symtab, env)
-        except AccessError:
-            aff = None
-        out.append(
-            ArrayAccess(
-                kind=kind,
-                name=ref.name,
-                aff=aff,
-                inner=tuple(inner),
-                conditional=conditional,
+    inner: List[LoopCtx] = []
+    saved: List[Tuple[List[LoopCtx], bool]] = []
+    degraded = False
+    for tag, arg in record.events:
+        if tag == "array" and not arg.echo:
+            out.append(
+                ArrayAccess(
+                    kind=arg.kind,
+                    name=arg.ref.name,
+                    aff=None if degraded else arg.offset,
+                    inner=tuple(inner),
+                    conditional=arg.conditional,
+                )
             )
-        )
-
-    def scan_expr(expr: F.Expr, inner, conditional) -> None:
-        for node in F.walk_exprs(expr):
-            if isinstance(node, F.ArrayRef):
-                ref_access(node, "r", inner, conditional)
-
-    def walk(stmts: Sequence[F.Stmt], inner: List[LoopCtx], conditional: bool):
-        for stmt in stmts:
-            if isinstance(stmt, F.Assign):
-                scan_expr(stmt.rhs, inner, conditional)
-                if isinstance(stmt.lhs, F.ArrayRef):
-                    for sub in stmt.lhs.subs:
-                        scan_expr(sub, inner, conditional)
-                    ref_access(stmt.lhs, "w", inner, conditional)
-            elif isinstance(stmt, F.Do):
-                try:
-                    ctx = loop_context(stmt, inner, env)
-                    walk(stmt.body, inner + [ctx], conditional)
-                except AccessError:
-                    # Bounds depend on the candidate index: widen over the
-                    # candidate's own range (triangular nests); only if
-                    # even that fails, degrade to non-affine.
-                    ctx = None
-                    if pctx is not None:
-                        try:
-                            ctx = loop_context(stmt, [pctx] + inner, env)
-                        except AccessError:
-                            ctx = None
-                    if ctx is not None:
-                        walk(stmt.body, inner + [ctx], conditional)
-                    else:
-                        saved = len(out)
-                        walk(stmt.body, inner, conditional)
-                        for acc in out[saved:]:
-                            acc.aff = None
-            elif isinstance(stmt, F.If):
-                scan_expr(stmt.cond, inner, conditional)
-                walk(stmt.then, inner, True)
-                for c, blk in stmt.elifs:
-                    scan_expr(c, inner, conditional)
-                    walk(blk, inner, True)
-                walk(stmt.orelse, inner, True)
-            elif isinstance(stmt, F.PrintStmt):
-                for item in stmt.items:
-                    if not isinstance(item, F.Str):
-                        scan_expr(item, inner, conditional)
-
-    walk(loop.body, [], False)
+        elif tag == "do":
+            saved.append((inner, degraded))
+            try:
+                ctx = loop_context(arg, inner, record.env)
+            except AccessError:
+                ctx = None
+                if pctx is not None:
+                    try:
+                        ctx = loop_context(arg, [pctx] + inner, record.env)
+                    except AccessError:
+                        pass
+            if ctx is None:
+                degraded = True
+            else:
+                inner = inner + [ctx]
+        elif tag == "end":
+            inner, degraded = saved.pop()
     return out
 
 
@@ -384,14 +352,21 @@ def test_loop_parallel(
     symtab: SymbolTable,
     outer: Sequence[LoopCtx] = (),
     env: Optional[Dict[str, int]] = None,
+    record: Optional[AccessRecord] = None,
 ) -> DependenceReport:
-    """Array-dependence verdict for parallelizing ``loop``."""
+    """Array-dependence verdict for parallelizing ``loop``.
+
+    ``record`` is the access record of ``loop.body`` under ``env``, when
+    the caller has already built it.
+    """
     env = dict(env or {})
     try:
         pctx = loop_context(loop, outer, env)
     except AccessError as exc:
         return DependenceReport(False, [str(exc)])
-    accesses = collect_accesses(loop, symtab, env, pctx=pctx)
+    if record is None:
+        record = record_accesses(loop.body, symtab, env)
+    accesses = art_accesses(record, pctx)
 
     by_array: Dict[str, List[ArrayAccess]] = {}
     for acc in accesses:

@@ -98,9 +98,6 @@ class Affine:
         )
         return rest + value.scale(c)
 
-    def drop(self, name: str) -> "Affine":
-        return Affine(self.const, {v: c for v, c in self.terms.items() if v != name})
-
     def __str__(self):
         parts = [str(self.const)] if self.const or not self.terms else []
         for v in sorted(self.terms):

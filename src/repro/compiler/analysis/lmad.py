@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from math import gcd
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -275,9 +275,6 @@ class LMAD:
 
     def shifted(self, delta: int) -> "LMAD":
         return replace(self, base=self.base + delta)
-
-    def with_dims(self, dims: Iterable[Dim]) -> "LMAD":
-        return replace(self, dims=tuple(dims))
 
     def bounding(self) -> "LMAD":
         """The contiguous approximation covering min..max offset."""

@@ -19,10 +19,15 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Set
 
+from repro.compiler.analysis.access import (
+    AccessError,
+    loop_context,
+    record_accesses,
+)
 from repro.compiler.analysis.art import test_loop_parallel
 from repro.compiler.analysis.privatize import find_private_scalars
 from repro.compiler.analysis.reduction import find_reductions
-from repro.compiler.analysis.summary import summarize_statements
+from repro.compiler.analysis.summary import summarize_record
 from repro.compiler.frontend import fast as F
 
 __all__ = ["detect_parallelism", "ParallelizationLog"]
@@ -110,7 +115,7 @@ def _try_loop(
     if loop.parallel:
         # User directive: annotate reductions/privates, trust the directive.
         loop.reductions = find_reductions(loop)
-        body_sum = summarize_statements(loop.body, unit.symtab, (), env)
+        body_sum = summarize_record(record_accesses(loop.body, unit.symtab, env))
         loop.private = find_private_scalars(
             loop, body_sum, exclude=[r for r, _ in loop.reductions]
         )
@@ -119,8 +124,6 @@ def _try_loop(
 
     # Profitability: a loop with fewer than two iterations gains nothing
     # from SPMDization and would mask parallelism in its body.
-    from repro.compiler.analysis.access import AccessError, loop_context
-
     try:
         trip = loop_context(loop, (), env).count
     except AccessError:
@@ -134,7 +137,9 @@ def _try_loop(
 
     reductions = find_reductions(loop)
     red_names = [r for r, _ in reductions]
-    body_sum = summarize_statements(loop.body, unit.symtab, (), env)
+    # One record of the body serves the summary and the ART.
+    record = record_accesses(loop.body, unit.symtab, env)
+    body_sum = summarize_record(record)
     private = [
         name
         for name in find_private_scalars(loop, body_sum, exclude=red_names)
@@ -148,7 +153,7 @@ def _try_loop(
             break
 
     if blocked is None:
-        report = test_loop_parallel(loop, unit.symtab, (), env)
+        report = test_loop_parallel(loop, unit.symtab, (), env, record)
         if not report.independent:
             blocked = "; ".join(report.conflicts) or "dependence"
 

@@ -25,9 +25,13 @@ from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.compiler.analysis.access import (
     AccessError,
+    AccessRecord,
     LoopCtx,
+    RefAccess,
     loop_context,
-    ref_lmad,
+    offset_lmad,
+    record_accesses,
+    ref_offset_affine,
     whole_array,
 )
 from repro.compiler.analysis.lmad import LMAD
@@ -42,6 +46,7 @@ __all__ = [
     "ScalarSummary",
     "SummarySet",
     "summarize_loop",
+    "summarize_record",
     "summarize_statements",
 ]
 
@@ -67,12 +72,6 @@ class ArraySummary:
         if self.exposed_read or self.conditional_write:
             return READ_WRITE
         return WRITE_FIRST
-
-    def union_reads(self) -> List[LMAD]:
-        return list(self.reads)
-
-    def union_writes(self) -> List[LMAD]:
-        return list(self.writes)
 
 
 @dataclass
@@ -106,113 +105,76 @@ class SummarySet:
         return [a for a in self.arrays.values() if a.classification == cls]
 
 
-class _Collector:
-    def __init__(
-        self,
-        symtab: SymbolTable,
-        loops: Sequence[LoopCtx],
-        env: Mapping[str, int],
-    ):
-        self.symtab = symtab
-        self.loops = list(loops)
-        self.env = dict(env)
-        self.summary = SummarySet()
-        #: Regions certainly written so far, per array.
-        self._written: Dict[str, List[LMAD]] = {}
-        self._scalar_written: Set[str] = set()
+def summarize_record(
+    record: AccessRecord,
+    loops: Sequence[LoopCtx] = (),
+    bind: Optional[Mapping[str, int]] = None,
+) -> SummarySet:
+    """Summary set of a recorded statement list under the given loop
+    context; ``bind`` gives values to names the record left symbolic
+    (it must not rebind a name of ``record.env``)."""
+    bind = bind or {}
+    env = {**record.env, **bind}
+    summary = SummarySet()
+    loops = list(loops)
+    saved: List[List[LoopCtx]] = []
+    #: Regions certainly written so far, per array.
+    written: Dict[str, List[LMAD]] = {}
+    scalar_written: Set[str] = set()
 
-    # -- expression reads ----------------------------------------------------
-    def read_expr(self, expr: F.Expr, conditional: bool) -> None:
-        for node in F.walk_exprs(expr):
-            if isinstance(node, F.ArrayRef):
-                self._read_array(node, conditional)
-            elif isinstance(node, F.Var):
-                self._read_scalar(node.name)
+    def region(acc: RefAccess) -> LMAD:
+        if acc.error is not None:
+            if acc.sym is None or not acc.sym.is_array:
+                raise AccessError(acc.error)
+            return whole_array(acc.sym)
+        if acc.offset is not None:
+            return offset_lmad(acc.sym, acc.offset, loops, bind)
+        # Not affine with the bindings symbolic; maybe with them bound.
+        offset = ref_offset_affine(acc.ref, record.symtab, env) if bind else None
+        if offset is None:
+            return whole_array(acc.sym)
+        return offset_lmad(acc.sym, offset, loops)
 
-    def _lmad(self, ref: F.ArrayRef) -> LMAD:
-        try:
-            return ref_lmad(ref, self.symtab, self.loops, self.env)
-        except AccessError:
-            sym = self.symtab.lookup(ref.name)
-            if sym is None or not sym.is_array:
-                raise
-            return whole_array(sym)
-
-    def _read_array(self, ref: F.ArrayRef, conditional: bool) -> None:
-        region = self._lmad(ref)
-        a = self.summary.array(ref.name)
-        a.reads.append(region)
-        covered = any(w.contains(region) for w in self._written.get(ref.name, []))
-        if not covered:
-            a.exposed_read = True
-        # Subscript sub-expressions contain scalar reads.
-        for sub in ref.subs:
-            for node in F.walk_exprs(sub):
-                if isinstance(node, F.Var):
-                    self._read_scalar(node.name)
-                elif isinstance(node, F.ArrayRef):
-                    self._read_array(node, conditional)
-
-    def _read_scalar(self, name: str) -> None:
-        sym = self.symtab.lookup(name)
-        if sym is not None and (sym.is_param or sym.is_array):
-            return
-        if any(c.var == name for c in self.loops):
-            return  # loop indices are implicitly private
-        s = self.summary.scalar(name)
-        s.read = True
-        if name not in self._scalar_written:
-            s.exposed_read = True
-
-    # -- statement walk -----------------------------------------------------
-    def walk(self, stmts: Sequence[F.Stmt], conditional: bool = False) -> None:
-        for stmt in stmts:
-            self._stmt(stmt, conditional)
-
-    def _stmt(self, stmt: F.Stmt, conditional: bool) -> None:
-        if isinstance(stmt, F.Assign):
-            self.read_expr(stmt.rhs, conditional)
-            if isinstance(stmt.lhs, F.ArrayRef):
-                for sub in stmt.lhs.subs:
-                    self.read_expr(sub, conditional)
-                region = self._lmad(stmt.lhs)
-                a = self.summary.array(stmt.lhs.name)
-                a.writes.append(region)
-                if conditional:
+    for tag, arg in record.events:
+        if tag == "array":
+            lmad = region(arg)
+            a = summary.array(arg.ref.name)
+            if arg.kind == "r":
+                a.reads.append(lmad)
+                if not any(w.contains(lmad) for w in written.get(a.array, [])):
+                    a.exposed_read = True
+            else:
+                a.writes.append(lmad)
+                if arg.conditional:
                     a.conditional_write = True
                 else:
-                    self._written.setdefault(stmt.lhs.name, []).append(region)
-            else:
-                name = stmt.lhs.name
-                s = self.summary.scalar(name)
-                s.written = True
-                if not conditional:
-                    self._scalar_written.add(name)
-        elif isinstance(stmt, F.Do):
-            saved = self.loops
+                    written.setdefault(a.array, []).append(lmad)
+        elif tag == "sread":
+            if any(c.var == arg for c in loops):
+                continue  # loop indices are implicitly private
+            sc = summary.scalar(arg)
+            sc.read = True
+            if arg not in scalar_written:
+                sc.exposed_read = True
+        elif tag == "swrite":
+            name, conditional = arg
+            summary.scalar(name).written = True
+            if not conditional:
+                scalar_written.add(name)
+        elif tag == "do":
+            saved.append(loops)
             try:
-                inner = loop_context(stmt, self.loops, self.env)
-                self.loops = self.loops + [inner]
+                loops = loops + [loop_context(arg, loops, env)]
             except AccessError:
                 # Bounds depend on symbols outside this context (e.g. the
                 # index of a loop we are summarizing the body of); keep the
                 # context as-is — array refs degrade to whole-array.
                 pass
-            self.walk(stmt.body, conditional)
-            self.loops = saved
-        elif isinstance(stmt, F.If):
-            self.read_expr(stmt.cond, conditional)
-            self.walk(stmt.then, True)
-            for c, blk in stmt.elifs:
-                self.read_expr(c, conditional)
-                self.walk(blk, True)
-            self.walk(stmt.orelse, True)
-        elif isinstance(stmt, F.PrintStmt):
-            for item in stmt.items:
-                if not isinstance(item, F.Str):
-                    self.read_expr(item, conditional)
-        elif isinstance(stmt, F.Call):  # pragma: no cover - inlined earlier
+        elif tag == "end":
+            loops = saved.pop()
+        elif tag == "call":  # pragma: no cover - inlined earlier
             raise AccessError("CALL must be inlined before summarization")
+    return summary
 
 
 def summarize_statements(
@@ -222,9 +184,7 @@ def summarize_statements(
     env: Optional[Mapping[str, int]] = None,
 ) -> SummarySet:
     """Summary set of a statement sequence under the given loop context."""
-    col = _Collector(symtab, loops, env or {})
-    col.walk(stmts)
-    return col.summary
+    return summarize_record(record_accesses(stmts, symtab, env), loops)
 
 
 def summarize_loop(
@@ -235,6 +195,5 @@ def summarize_loop(
 ) -> Tuple[SummarySet, LoopCtx]:
     """Summary set of a whole loop (its body expanded by its own index)."""
     ctx = loop_context(loop, outer, env or {})
-    col = _Collector(symtab, list(outer) + [ctx], env or {})
-    col.walk(loop.body)
-    return col.summary, ctx
+    record = record_accesses(loop.body, symtab, env)
+    return summarize_record(record, list(outer) + [ctx]), ctx

@@ -25,9 +25,9 @@ reporting, Figure 7's reproduction, and the planner's liveness queries).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.compiler.frontend import fast as F
+from repro.compiler.analysis.access import AccessRecord, record_accesses
 from repro.compiler.frontend.symtab import SymbolTable
 from repro.compiler.postpass.spmd import (
     IfRegion,
@@ -44,39 +44,13 @@ PROPAGATE = "Propagate"
 INVALID = "Invalid"
 
 
-def _array_uses(stmts: Sequence[F.Stmt], arrays: Set[str]) -> Dict[str, Tuple[bool, bool]]:
-    """array -> (reads, writes) within a statement list."""
+def _array_uses(record: AccessRecord, arrays: Set[str]) -> Dict[str, Tuple[bool, bool]]:
+    """array -> (reads, writes) within a recorded statement list."""
     uses: Dict[str, Tuple[bool, bool]] = {}
-
-    def mark(name: str, read: bool, write: bool):
-        if name not in arrays:
-            return
-        r, w = uses.get(name, (False, False))
-        uses[name] = (r or read, w or write)
-
-    for s in F.walk_stmts(stmts):
-        if isinstance(s, F.Assign):
-            for e in F.walk_exprs(s.rhs):
-                if isinstance(e, F.ArrayRef):
-                    mark(e.name, True, False)
-            if isinstance(s.lhs, F.ArrayRef):
-                mark(s.lhs.name, False, True)
-                for sub in s.lhs.subs:
-                    for e in F.walk_exprs(sub):
-                        if isinstance(e, F.ArrayRef):
-                            mark(e.name, True, False)
-        elif isinstance(s, F.If):
-            for cond in [s.cond] + [c for c, _b in s.elifs]:
-                for e in F.walk_exprs(cond):
-                    if isinstance(e, F.ArrayRef):
-                        mark(e.name, True, False)
-        elif isinstance(s, F.PrintStmt):
-            for item in s.items:
-                if isinstance(item, F.Str):
-                    continue
-                for e in F.walk_exprs(item):
-                    if isinstance(e, F.ArrayRef):
-                        mark(e.name, True, False)
+    for tag, acc in record.events:
+        if tag == "array" and acc.ref.name in arrays:
+            r, w = uses.get(acc.ref.name, (False, False))
+            uses[acc.ref.name] = (r or acc.kind == "r", w or acc.kind == "w")
     return uses
 
 
@@ -202,7 +176,7 @@ def _flatten(
         if isinstance(r, SeqBlock):
             out.append(("seq", r.region_id, r.stmts, loop_path))
         elif isinstance(r, ParRegion):
-            out.append(("par", r.region_id, [r.loop], loop_path))
+            out.append(("par", r.region_id, r.loop.body, loop_path))
         elif isinstance(r, SeqLoop):
             _flatten(r.body, loop_path + (r.region_id,), out)
         elif isinstance(r, IfRegion):
@@ -216,12 +190,16 @@ def build_avpg(
     regions: Sequence[Region],
     symtab: SymbolTable,
     live_out: Optional[Set[str]] = None,
+    record_of: Optional[Callable[[Sequence], AccessRecord]] = None,
 ) -> Avpg:
     """Construct the AVPG for a region tree.
 
     ``live_out=None`` means every array is observable at program exit (the
     safe default); pass an explicit set to enable dead-array elimination.
+    ``record_of`` maps a statement list to its access record (the
+    planner passes the records it replays itself).
     """
+    record_of = record_of or (lambda stmts: record_accesses(stmts, symtab))
     arrays = {s.name for s in symtab.arrays()}
     flat: List = []
     _flatten(regions, (), flat)
@@ -236,7 +214,7 @@ def build_avpg(
                 label=label,
                 kind=kind,
                 loop_path=loop_path,
-                uses=_array_uses(stmts, arrays),
+                uses=_array_uses(record_of(stmts), arrays),
             )
         )
 

@@ -37,14 +37,20 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from repro.compiler.analysis.access import AccessError, LoopCtx, loop_context
+from repro.compiler.analysis.access import (
+    AccessError,
+    AccessRecord,
+    LoopCtx,
+    loop_context,
+    record_accesses,
+)
 from repro.compiler.analysis.lmad import LMAD
 from repro.compiler.analysis.summary import (
     READ_ONLY,
     READ_WRITE,
     WRITE_FIRST,
     SummarySet,
-    summarize_statements,
+    summarize_record,
 )
 from repro.compiler.frontend import fast as F
 from repro.compiler.frontend.symtab import SymbolTable
@@ -261,7 +267,10 @@ class CommPlanner:
         self.partition_strategy = partition_strategy
         #: Per-region partition-strategy overrides (docs/PARTITION.md).
         self.partition_map: Dict[int, str] = dict(partition_map or {})
-        self.avpg: Avpg = build_avpg(regions, symtab, live_out)
+        #: id(statement list) -> its access record, replayed on every
+        #: visit and per rank or iteration instead of re-walking the AST.
+        self._records: Dict[int, AccessRecord] = {}
+        self.avpg: Avpg = build_avpg(regions, symtab, live_out, self._record)
         #: (array) -> (nprocs, size) validity mask: slave copy current?
         self._valid: Dict[str, np.ndarray] = {
             name: np.zeros((nprocs, env.sizes[name]), dtype=bool)
@@ -332,9 +341,17 @@ class CommPlanner:
                 met[k] &= ex[k]
         self._valid = met
 
+    def _record(self, stmts: Sequence[F.Stmt]) -> AccessRecord:
+        record = self._records.get(id(stmts))
+        if record is None:
+            record = self._records[id(stmts)] = record_accesses(
+                stmts, self.symtab
+            )
+        return record
+
     # -- sequential blocks --------------------------------------------------
     def _seq_block(self, block: SeqBlock) -> None:
-        summary = summarize_statements(block.stmts, self.symtab, (), {})
+        summary = summarize_record(self._record(block.stmts))
         for name, arr in summary.arrays.items():
             if name not in self._valid:
                 continue  # master-private array
@@ -409,7 +426,7 @@ class CommPlanner:
         region.comm_plan = plan
 
         # Region-level classification.
-        region_summary = summarize_statements(loop.body, self.symtab, [pctx], {})
+        region_summary = summarize_record(self._record(loop.body), [pctx])
         plan.scalars_in = sorted(
             s.name
             for s in region_summary.scalars.values()
@@ -527,20 +544,19 @@ class CommPlanner:
         if hit is not None:
             return hit
         stmts, base = self._split_frame(loop, partition)
+        record = self._record(stmts)
         rows = []
         for r in range(self.nprocs):
             rctx = partition.rank_ctx(r)
             if rctx is None:
                 continue
-            summary = summarize_statements(
-                stmts, self.symtab, base + [rctx], {}
-            )
+            summary = summarize_record(record, base + [rctx])
             masks = None
             if any(
                 any(not l.exact for l in arr.writes)
                 for arr in summary.arrays.values()
             ):
-                masks = self._per_iteration_masks(loop, rctx, stmts, base)
+                masks = self._per_iteration_masks(loop, rctx, record, base)
             rows.append((r, summary, masks))
         self._rank_summaries[key] = rows
         return rows
@@ -549,7 +565,7 @@ class CommPlanner:
         self,
         loop: F.Do,
         rctx: LoopCtx,
-        stmts: Sequence[F.Stmt],
+        record: AccessRecord,
         base: Sequence[LoopCtx],
     ) -> Dict[str, Tuple[np.ndarray, np.ndarray]]:
         """Exact per-rank masks for widened (triangular) regions."""
@@ -560,9 +576,7 @@ class CommPlanner:
             )
         masks: Dict[str, Tuple[np.ndarray, np.ndarray]] = {}
         for v in rctx.values():
-            summary = summarize_statements(
-                stmts, self.symtab, tuple(base), {rctx.var: v}
-            )
+            summary = summarize_record(record, base, {rctx.var: v})
             for name, arr in summary.arrays.items():
                 size = self.env.sizes[name]
                 if name not in masks:

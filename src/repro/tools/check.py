@@ -46,7 +46,7 @@ from repro.compiler.analysis.summary import (
     READ_ONLY,
     READ_WRITE,
     WRITE_FIRST,
-    summarize_statements,
+    summarize_record,
 )
 from repro.compiler.pipeline import CompileOptions, compile_source
 from repro.compiler.postpass.env import generate_environment
@@ -377,12 +377,13 @@ class _VerifyingPlanner(CommPlanner):
     def _check_partition(self, region, notes: List[str]) -> List[Diagnostic]:
         """RV401: a flow dependence carried by the distributed dimension.
 
-        Re-derives accesses iteration-by-iteration along the distributed
-        dimension (serial order) and records, per element, the first
-        iteration writing it; a later iteration *reading* that element
-        from a different rank would — under the scatter/compute/collect
-        model where every rank works on its pre-region copy — observe
-        the stale pre-region value instead of the freshly written one.
+        Replays the split body's access record iteration-by-iteration
+        along the distributed dimension (serial order) and records, per
+        element, the first iteration writing it; a later iteration
+        *reading* that element from a different rank would — under the
+        scatter/compute/collect model where every rank works on its
+        pre-region copy — observe the stale pre-region value instead of
+        the freshly written one.
         Anti-dependences (read before write in serial order) are legal
         under that model and do not fire.
         """
@@ -407,11 +408,10 @@ class _VerifyingPlanner(CommPlanner):
 
         first_write: Dict[str, np.ndarray] = {}
         hits: Dict[str, Set] = {}
+        record = self._record(stmts)
         for t, v in enumerate(dctx.values()):
             try:
-                summary = summarize_statements(
-                    stmts, self.symtab, tuple(base), {dctx.var: v}
-                )
+                summary = summarize_record(record, base, {dctx.var: v})
             except Exception:
                 notes.append(
                     f"region {rid}: accesses not summarizable at "

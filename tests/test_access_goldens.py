@@ -5,10 +5,14 @@ For every loop of the corpus this hashes a canonical dump of
 * the summary set of its body in the region context ``[pctx]``,
 * the summary set in each rank's context at 4 ranks, block and cyclic,
 * the summary set at each iteration value (loops of ≤ 64 iterations),
-* the Access Region Test's access list (``collect_accesses``),
+* the Access Region Test's access list (``art_accesses``),
 
 so a change to how accesses are walked, linearized or classified shows
-up as a changed digest.  The dump covers the LMAD lists in order, their
+up as a changed digest.  Each body is recorded once and replayed per
+context, as the planner and the verifier do; the per-iteration replays
+substitute the bound index into offsets derived with it symbolic, and
+``test_bound_replay_equals_fresh_walk`` holds them to a walk made with
+the index already bound.  The dump covers the LMAD lists in order, their
 exactness, the exposed-read and conditional flags and the scalar
 summaries; an :class:`AccessError` dumps as its message.
 
@@ -22,9 +26,16 @@ from pathlib import Path
 
 import pytest
 
-from repro.compiler.analysis.access import AccessError, loop_context
-from repro.compiler.analysis.art import collect_accesses
-from repro.compiler.analysis.summary import summarize_statements
+from repro.compiler.analysis.access import (
+    AccessError,
+    loop_context,
+    record_accesses,
+)
+from repro.compiler.analysis.art import art_accesses
+from repro.compiler.analysis.summary import (
+    summarize_record,
+    summarize_statements,
+)
 from repro.compiler.frontend import fast as F
 from repro.compiler.frontend.lower import lower_program
 from repro.compiler.frontend.parser import parse
@@ -157,9 +168,9 @@ def _digest(doc) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def _summary_or_error(stmts, symtab, loops, env):
+def _summary_or_error(summarize, *args):
     try:
-        return summary_doc(summarize_statements(stmts, symtab, loops, env))
+        return summary_doc(summarize(*args))
     except AccessError as exc:
         return f"AccessError: {exc}"
 
@@ -183,21 +194,19 @@ def _loops_with_outer(stmts, outer):
 
 def loop_digests(loop, symtab, outer):
     """Digest per context kind of one loop body."""
-    body = loop.body
+    record = record_accesses(loop.body, symtab)
     try:
         pctx = loop_context(loop, outer, {})
     except AccessError as exc:
         pctx = None
         error = f"AccessError: {exc}"
-    out = {
-        "art": _digest(
-            accesses_doc(collect_accesses(loop, symtab, {}, pctx=pctx))
-        ),
-    }
+    out = {"art": _digest(accesses_doc(art_accesses(record, pctx)))}
     if pctx is None:
         out["region"] = _digest(error)
         return out
-    out["region"] = _digest(_summary_or_error(body, symtab, outer + [pctx], {}))
+    out["region"] = _digest(
+        _summary_or_error(summarize_record, record, outer + [pctx])
+    )
     for strategy in ("block", "cyclic"):
         part = Partition(pctx=pctx, nprocs=4, strategy=strategy)
         docs = []
@@ -205,12 +214,12 @@ def loop_digests(loop, symtab, outer):
             rctx = part.rank_ctx(r)
             docs.append(
                 None if rctx is None
-                else _summary_or_error(body, symtab, outer + [rctx], {})
+                else _summary_or_error(summarize_record, record, outer + [rctx])
             )
         out[strategy] = _digest(docs)
     if pctx.count <= PER_ITER_MAX:
         out["iters"] = _digest([
-            _summary_or_error(body, symtab, outer, {loop.var: v})
+            _summary_or_error(summarize_record, record, outer, {loop.var: v})
             for v in pctx.values()
         ])
     return out
@@ -238,3 +247,33 @@ def test_golden_covers_the_corpus():
 def test_access_digests_match_golden(name):
     source = dict(corpus())[name]
     assert program_digests(source) == json.loads(GOLDEN.read_text())[name]
+
+
+@pytest.mark.parametrize("name", [name for name, _src in corpus()])
+def test_bound_replay_equals_fresh_walk(name):
+    """Substituting a bound index into a symbolic record gives the summary
+    of a walk made with the index bound, at every iteration value."""
+    unit = lower_program(parse(dict(corpus())[name])).main
+    for loop, outer in _loops_with_outer(unit.body, []):
+        try:
+            pctx = loop_context(loop, outer, {})
+        except AccessError:
+            continue
+        record = record_accesses(loop.body, unit.symtab)
+        for v in list(pctx.values())[:PER_ITER_MAX]:
+            bind = {loop.var: v}
+            assert _summary_or_error(
+                summarize_record, record, outer, bind
+            ) == _summary_or_error(
+                summarize_statements, loop.body, unit.symtab, outer, bind
+            )
+
+
+def test_nested_subscript_drift():
+    """The summary reads B in ``A(B(I))`` twice, the ART once."""
+    unit = lower_program(parse(NESTED_SUBSCRIPT)).main
+    loop = unit.body[1]
+    summary = summarize_statements(loop.body, unit.symtab)
+    assert len(summary.arrays["B"].reads) == 2
+    names = [a.name for a in art_accesses(record_accesses(loop.body, unit.symtab))]
+    assert names == ["A", "B", "A"]

@@ -222,36 +222,40 @@ def test_plan_message_and_byte_accounting():
 # ---------------------------------------------------------------------------
 
 def _count_rank_work(monkeypatch):
-    """Record (visits, per-rank summarize keys, per-iteration mask keys)
-    of every planner run while the fixture is active."""
+    """Record (visits, per-rank summary keys, per-iteration mask keys,
+    region summary keys) of every planner run while the fixture is
+    active."""
     import sys
 
     from repro.compiler.postpass import scatter
 
-    visits, summaries, masks = [], [], []
-    real_summarize = scatter.summarize_statements
+    visits, summaries, masks, regions = [], [], [], []
+    real_summarize = scatter.summarize_record
     real_rank_regions = scatter.CommPlanner._rank_regions
     real_masks = scatter.CommPlanner._per_iteration_masks
 
-    def summarize(stmts, symtab, ctxs, bindings):
-        if sys._getframe(1).f_code.co_name == "_summaries_per_rank":
-            summaries.append((id(stmts), tuple(ctxs)))
-        return real_summarize(stmts, symtab, ctxs, bindings)
+    def summarize(record, ctxs=(), bind=None):
+        caller = sys._getframe(1).f_code.co_name
+        if caller == "_summaries_per_rank":
+            summaries.append((id(record), tuple(ctxs)))
+        elif caller == "_par_region_inner":
+            regions.append((id(record), tuple(ctxs)))
+        return real_summarize(record, ctxs, bind)
 
     def rank_regions(self, loop, partition, region_summary):
         visits.append((id(loop), partition))
         return real_rank_regions(self, loop, partition, region_summary)
 
-    def per_iteration_masks(self, loop, rctx, stmts, base):
+    def per_iteration_masks(self, loop, rctx, record, base):
         masks.append((id(loop), rctx))
-        return real_masks(self, loop, rctx, stmts, base)
+        return real_masks(self, loop, rctx, record, base)
 
-    monkeypatch.setattr(scatter, "summarize_statements", summarize)
+    monkeypatch.setattr(scatter, "summarize_record", summarize)
     monkeypatch.setattr(scatter.CommPlanner, "_rank_regions", rank_regions)
     monkeypatch.setattr(
         scatter.CommPlanner, "_per_iteration_masks", per_iteration_masks
     )
-    return visits, summaries, masks
+    return visits, summaries, masks, regions
 
 
 def _plans_digest(plans) -> str:
@@ -266,7 +270,8 @@ def _plans_digest(plans) -> str:
 
 def test_rank_summaries_once_per_planner_swim(monkeypatch):
     """SWIM's time loop makes the fixpoint revisit every region; each
-    (loop, partition, rank) is still summarized once, and the program —
+    (loop, partition, rank) is still summarized once, every visit
+    summarizes its region once, and the program —
     Fortran, plans, simulated seconds and array digest — is unchanged
     (values pinned before the memo existed)."""
     import hashlib
@@ -275,12 +280,13 @@ def test_rank_summaries_once_per_planner_swim(monkeypatch):
     from repro.workloads import source_for
 
     clear_compile_cache()
-    visits, summaries, _masks = _count_rank_work(monkeypatch)
+    visits, summaries, _masks, regions = _count_rank_work(monkeypatch)
     prog = compile_source(source_for("SWIM-64"), nprocs=16)
     monkeypatch.undo()
     assert len(visits) > len(set(visits))  # the fixpoint did revisit
     assert summaries and len(summaries) == len(set(summaries))
     assert len(summaries) == 16 * len(set(visits))
+    assert len(regions) == len(visits) == 10
     assert hashlib.sha256(prog.fortran.encode()).hexdigest() == (
         "caa27b23ec81f30c959b1e13eb411950ea9a88666502ba0ccc112ad120d6a2e8"
     )
@@ -320,7 +326,7 @@ def test_per_iteration_masks_once_per_planner(monkeypatch):
     from repro.compiler.postpass import scatter
 
     clear_compile_cache()
-    visits, _summaries, masks = _count_rank_work(monkeypatch)
+    visits, _summaries, masks, _regions = _count_rank_work(monkeypatch)
     memo = compile_source(TRIANGULAR_IN_TIME_LOOP, nprocs=3)
     monkeypatch.undo()
     assert len(visits) > len(set(visits))
