@@ -279,6 +279,8 @@ class CommPlanner:
         for name in env.window_arrays:
             self._valid[name][0, :] = True  # master memory is the reference
         self.plans: Dict[int, RegionCommPlan] = {}
+        #: id(loop) -> its region's partition and region-level summary.
+        self._frames: Dict[int, Tuple[Partition, SummarySet]] = {}
         #: (id(loop), partition) -> per rank, its summary set and (for
         #: widened writes) exact per-iteration masks.  Neither depends on
         #: the validity state, so the back-edge fixpoint's revisits reuse
@@ -379,11 +381,13 @@ class CommPlanner:
             exc.loop = region.loop  # let the driver demote and retry
             raise
 
-    def _par_region_inner(self, region: ParRegion) -> None:
+    def _region_frame(self, region: ParRegion) -> Tuple[Partition, SummarySet]:
+        """The region's partition and region-level summary, derived once
+        per loop per planner (neither depends on the validity state)."""
         loop = region.loop
-        plan = RegionCommPlan(region_id=region.region_id)
-        self.plans[region.region_id] = plan
-
+        frame = self._frames.get(id(loop))
+        if frame is not None:
+            return frame
         try:
             pctx = loop_context(loop, (), {})
         except AccessError as exc:
@@ -403,6 +407,7 @@ class CommPlanner:
             raise PartitionError(
                 str(exc), region_id=region.region_id, loop_var=loop.var
             ) from None
+        sctx = pctx
         if sdim:
             try:
                 sctx = loop_context(split_loop(loop, sdim), (), {})
@@ -412,21 +417,19 @@ class CommPlanner:
                     region_id=region.region_id,
                     loop_var=loop.var,
                 ) from None
-            partition = Partition(
-                pctx=sctx,
-                nprocs=self.nprocs,
-                strategy=sname,
-                split_dim=sdim,
-            )
-        else:
-            partition = Partition(
-                pctx=pctx, nprocs=self.nprocs, strategy=sname
-            )
+        partition = Partition(sctx, self.nprocs, sname, split_dim=sdim)
+        # Region-level classification.
+        summary = summarize_record(self._record(loop.body), [pctx])
+        frame = self._frames[id(loop)] = (partition, summary)
+        return frame
+
+    def _par_region_inner(self, region: ParRegion) -> None:
+        loop = region.loop
+        plan = RegionCommPlan(region_id=region.region_id)
+        self.plans[region.region_id] = plan
+        partition, region_summary = self._region_frame(region)
         region.partition = partition
         region.comm_plan = plan
-
-        # Region-level classification.
-        region_summary = summarize_record(self._record(loop.body), [pctx])
         plan.scalars_in = sorted(
             s.name
             for s in region_summary.scalars.values()

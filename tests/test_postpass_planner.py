@@ -238,7 +238,7 @@ def _count_rank_work(monkeypatch):
         caller = sys._getframe(1).f_code.co_name
         if caller == "_summaries_per_rank":
             summaries.append((id(record), tuple(ctxs)))
-        elif caller == "_par_region_inner":
+        elif caller == "_region_frame":
             regions.append((id(record), tuple(ctxs)))
         return real_summarize(record, ctxs, bind)
 
@@ -270,10 +270,9 @@ def _plans_digest(plans) -> str:
 
 def test_rank_summaries_once_per_planner_swim(monkeypatch):
     """SWIM's time loop makes the fixpoint revisit every region; each
-    (loop, partition, rank) is still summarized once, every visit
-    summarizes its region once, and the program —
-    Fortran, plans, simulated seconds and array digest — is unchanged
-    (values pinned before the memo existed)."""
+    (loop, partition, rank) is still summarized once, so is each region
+    as a whole, and the program — Fortran, plans, simulated seconds and
+    array digest — is unchanged (values pinned before the memo existed)."""
     import hashlib
 
     from repro.compiler.pipeline import clear_compile_cache
@@ -286,7 +285,8 @@ def test_rank_summaries_once_per_planner_swim(monkeypatch):
     assert len(visits) > len(set(visits))  # the fixpoint did revisit
     assert summaries and len(summaries) == len(set(summaries))
     assert len(summaries) == 16 * len(set(visits))
-    assert len(regions) == len(visits) == 10
+    assert len(visits) == 10
+    assert len(regions) == len(set(regions)) == len(set(visits)) == 4
     assert hashlib.sha256(prog.fortran.encode()).hexdigest() == (
         "caa27b23ec81f30c959b1e13eb411950ea9a88666502ba0ccc112ad120d6a2e8"
     )
