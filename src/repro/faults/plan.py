@@ -199,13 +199,20 @@ class FaultPlan:
         unknown = set(doc) - {"seed", "retx", "faults", "max_sim_s"}
         if unknown:
             raise ValueError(f"unknown fault plan keys: {sorted(unknown)}")
-        specs = tuple(FaultSpec(**spec) for spec in doc.get("faults", ()))
-        return cls(
-            seed=int(doc.get("seed", 0)),
-            specs=specs,
-            retx=RetxParams(**doc.get("retx", {})),
-            max_sim_s=doc.get("max_sim_s"),
-        )
+        faults = doc.get("faults", [])
+        if not isinstance(faults, list) or not all(
+            isinstance(spec, dict) for spec in faults
+        ):
+            raise ValueError("fault plan 'faults' must be a list of objects")
+        try:
+            return cls(
+                seed=int(doc.get("seed", 0)),
+                specs=tuple(FaultSpec(**spec) for spec in faults),
+                retx=RetxParams(**doc.get("retx", {})),
+                max_sim_s=doc.get("max_sim_s"),
+            )
+        except TypeError as exc:  # unknown or missing spec fields
+            raise ValueError(f"malformed fault plan: {exc}") from None
 
     def dump(self, path: str) -> None:
         with open(path, "w") as fh:

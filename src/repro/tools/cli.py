@@ -39,6 +39,10 @@ import os
 import sys
 from typing import List, Optional
 
+from repro.compiler.frontend.lexer import LexError
+from repro.compiler.frontend.lower import LowerError
+from repro.compiler.frontend.parser import ParseError
+from repro.compiler.frontend.symtab import SymtabError
 from repro.compiler.pipeline import CompileOptions, compile_source
 from repro.compiler.postpass.bugseed import BugSeedError
 from repro.compiler.postpass.granularity import GRAINS
@@ -157,8 +161,11 @@ def _load_faults(args) -> Optional[FaultPlan]:
 def _source_text(source: str) -> str:
     """The Fortran text of a file path or a workload spec string."""
     if os.path.exists(source):
-        with open(source) as fh:
-            return fh.read()
+        try:
+            with open(source) as fh:
+                return fh.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise _CliError(f"cannot read {source!r}: {exc}")
     from repro.workloads import WorkloadSpecError, is_spec, source_for
 
     if is_spec(source):
@@ -166,9 +173,7 @@ def _source_text(source: str) -> str:
             return source_for(source)
         except WorkloadSpecError as exc:
             raise _CliError(str(exc))
-    raise SystemExit(
-        f"repro: {source!r} is neither a file nor a workload spec"
-    )
+    raise _CliError(f"{source!r} is neither a file nor a workload spec")
 
 
 def _cache_dir(args) -> Optional[str]:
@@ -688,6 +693,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 3
     except (_CliError, BugSeedError) as exc:
         print(f"repro: {exc}", file=sys.stderr)
+        return 2
+    except (LexError, ParseError, LowerError, SymtabError) as exc:
+        # The source is not (this subset of) Fortran.
+        print(f"repro: {args.source}: {exc}", file=sys.stderr)
         return 2
     except PartitionError as exc:
         # Bad partition requests carry their region provenance

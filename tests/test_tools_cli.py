@@ -174,3 +174,52 @@ def test_cli_spec_below_floor_exits_2(argv, capsys):
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1
     assert err[0].startswith("repro: workload") and "size must be" in err[0]
+
+
+@pytest.mark.parametrize("doc, message", [
+    ('{"faults": 3}', "'faults' must be a list of objects"),
+    ('{"faults": [3]}', "'faults' must be a list of objects"),
+    ('{"faults": [{"kind": "drop", "bogus": 1}]}', "unexpected keyword"),
+    ('{"retx": 5}', "malformed fault plan"),
+])
+def test_cli_fault_plan_of_wrong_shape_exits_2(doc, message, tmp_path, capsys):
+    """Valid JSON that is not a fault plan is one ``repro: faults:`` line."""
+    plan = tmp_path / "plan.json"
+    plan.write_text(doc)
+    argv = ["run", "MM-16", "--nprocs", "4", "--faults", str(plan)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("repro: faults: cannot load") and message in err[0]
+
+
+@pytest.mark.parametrize("cmd", ["run", "compile", "check"])
+@pytest.mark.parametrize("text, message", [
+    ("NOT FORTRAN\n", "line 1: expected PROGRAM or SUBROUTINE"),
+    ("      PROGRAM P\n      X = Y(1)\n      END\n", "not declared as an array"),
+])
+def test_cli_source_not_fortran_exits_2(cmd, text, message, tmp_path, capsys):
+    path = tmp_path / "notes.f"
+    path.write_text(text)
+    assert main([cmd, str(path), "--no-cache"] if cmd == "check"
+                else [cmd, str(path)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert err[0].startswith(f"repro: {path}: ") and message in err[0]
+
+
+@pytest.mark.parametrize("kind, message", [
+    ("missing", "is neither a file nor a workload spec"),
+    ("directory", "cannot read"),
+    ("binary", "cannot read"),
+])
+def test_cli_unreadable_source_exits_2(kind, message, tmp_path, capsys):
+    path = tmp_path / "src.f"
+    if kind == "directory":
+        path.mkdir()
+    elif kind == "binary":
+        path.write_bytes(b"\xff\xfe")
+    assert _exit_code(["run", str(path)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("repro: ") and message in err[0]
