@@ -5,6 +5,10 @@ column-major layout into a single affine offset expression; every loop
 index with a non-zero coefficient contributes one LMAD dimension with
 stride ``coef * step`` and count ``niter``.  Non-affine subscripts fall
 back to a conservative whole-array descriptor.
+
+:func:`record_accesses` is the one walk of a statement list for its
+accesses; summaries, the Access Region Test and the AVPG replay its
+record instead of re-walking and re-linearizing the AST.
 """
 
 from __future__ import annotations
@@ -57,10 +61,6 @@ class LoopCtx:
         else:
             n = (self.lo - self.hi) // (-self.step) + 1
         return max(0, n)
-
-    @property
-    def first(self) -> int:
-        return self.lo
 
     def values(self) -> range:
         return range(self.lo, self.hi + (1 if self.step > 0 else -1), self.step)
@@ -160,7 +160,7 @@ def offset_lmad(
         if v in bind:
             base += coef * bind[v]
         elif v in loop_by_var:
-            base += coef * loop_by_var[v].first
+            base += coef * loop_by_var[v].lo
         else:
             return whole_array(sym)
     dims: List[Tuple[int, int]] = []

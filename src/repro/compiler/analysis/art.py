@@ -1,6 +1,13 @@
 """The Access Region Test: loop-carried dependence testing on LMADs
 (paper §4, ref [2]).
 
+The accesses are :func:`art_accesses`' view of the loop body's access
+record: each reference once (not the summary's re-read of a nested
+subscript), its offset symbolic in the candidate index.  Inner loops
+therefore resolve relative to the candidate, widened over its bounds,
+and a loop that still does not resolve makes its accesses non-affine;
+a summary instead resolves them under concrete enclosing contexts.
+
 For a candidate parallel loop with index values ``v = lo + step*t``,
 ``t in [0, n)``, every (write, other-access) pair on the same array is
 tested for a *cross-iteration* conflict: offsets touched at iteration t1
@@ -54,9 +61,6 @@ class ArrayAccess:
     inner: Tuple[LoopCtx, ...]  # loops between the candidate and the ref
     conditional: bool = False
 
-    def inner_vars(self) -> Set[str]:
-        return {c.var for c in self.inner}
-
 
 @dataclass
 class DependenceReport:
@@ -75,11 +79,11 @@ def art_accesses(
     """The ART's view of a loop body's record: each array reference once
     (no subscript echoes), with its offset and inner-loop context.
 
-    Inner loops resolve against the record's env; failing that, they
-    widen over ``pctx`` (the candidate loop's own bounds, so triangular
-    nests stay affine); failing that too, every access inside is
-    non-affine.
+    Inner loops resolve against the record's env, widening over
+    ``pctx`` (the candidate loop's own bounds, so triangular nests stay
+    affine); failing that, every access inside is non-affine.
     """
+    head = [] if pctx is None else [pctx]
     out: List[ArrayAccess] = []
     inner: List[LoopCtx] = []
     saved: List[Tuple[List[LoopCtx], bool]] = []
@@ -98,18 +102,9 @@ def art_accesses(
         elif tag == "do":
             saved.append((inner, degraded))
             try:
-                ctx = loop_context(arg, inner, record.env)
+                inner = inner + [loop_context(arg, head + inner, record.env)]
             except AccessError:
-                ctx = None
-                if pctx is not None:
-                    try:
-                        ctx = loop_context(arg, [pctx] + inner, record.env)
-                    except AccessError:
-                        pass
-            if ctx is None:
                 degraded = True
-            else:
-                inner = inner + [ctx]
         elif tag == "end":
             inner, degraded = saved.pop()
     return out
@@ -146,7 +141,7 @@ def _inner_range(acc: ArrayAccess) -> Tuple[int, int, int, int]:
 
 
 def _outer_coefs(acc: ArrayAccess, pvar: str) -> Dict[str, int]:
-    inner = acc.inner_vars()
+    inner = {c.var for c in acc.inner}
     return {
         v: c for v, c in acc.aff.terms.items() if v != pvar and v not in inner
     }
@@ -217,9 +212,8 @@ def _interval_test(
     if c1 == c2:
         c = c1
         if c == 0:
-            if not (L <= d <= U):
-                return False
-            return _lattice_hits(0, d, g, lat_off)
+            # d itself must lie on the inner-difference lattice.
+            return L <= d <= U and (g <= 0 or (d - lat_off) % g == 0)
         # k = t1 - t2 != 0, |k| <= n-1:  c*k + d ∈ inner-difference set.
         if c > 0:
             k_lo = math.ceil((L - d) / c)
@@ -246,13 +240,6 @@ def _interval_test(
         # c1*t1 - c2*t2 + d - lat_off ≡ (d - lat_off) (mod gc) never ≡ 0.
         return False
     return True
-
-
-def _lattice_hits(value: int, d: int, g: int, lat_off: int) -> bool:
-    """Is ``value + d`` on the lattice ``lat_off + g*Z`` (g=0: anything)?"""
-    if g <= 0:
-        return True
-    return (value + d - lat_off) % g == 0
 
 
 def _congruence_has_solution(

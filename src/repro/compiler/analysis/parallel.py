@@ -49,30 +49,22 @@ class ParallelizationLog:
 def _scalar_reads(stmts: Sequence[F.Stmt]) -> Set[str]:
     """Names of scalars read anywhere in a statement list."""
     out: Set[str] = set()
-
-    def scan(expr: F.Expr) -> None:
-        for node in F.walk_exprs(expr):
-            if isinstance(node, F.Var):
-                out.add(node.name)
-
     for s in F.walk_stmts(stmts):
         if isinstance(s, F.Assign):
-            scan(s.rhs)
-            if isinstance(s.lhs, F.ArrayRef):
-                for sub in s.lhs.subs:
-                    scan(sub)
+            subs = s.lhs.subs if isinstance(s.lhs, F.ArrayRef) else []
+            exprs = [s.rhs, *subs]
         elif isinstance(s, F.Do):
-            scan(s.lo)
-            scan(s.hi)
-            scan(s.step)
+            exprs = [s.lo, s.hi, s.step]
         elif isinstance(s, F.If):
-            scan(s.cond)
-            for c, _blk in s.elifs:
-                scan(c)
+            exprs = [s.cond] + [c for c, _blk in s.elifs]
         elif isinstance(s, F.PrintStmt):
-            for item in s.items:
-                if not isinstance(item, F.Str):
-                    scan(item)
+            exprs = [i for i in s.items if not isinstance(i, F.Str)]
+        else:
+            continue
+        for expr in exprs:
+            out.update(
+                n.name for n in F.walk_exprs(expr) if isinstance(n, F.Var)
+            )
     return out
 
 

@@ -10,9 +10,15 @@ the three classified LMAD groups the paper defines:
 The postpass consumes the classification directly (§5.4): ReadOnly →
 data-scattering, WriteFirst → data-collecting, ReadWrite → both.
 
-Classification walks the section's statements in execution order,
-tracking which regions have certainly been written (a read covered by an
-earlier write in the same iteration is not *exposed*).  Writes under IF
+Classification replays the section's access record (see
+:func:`~repro.compiler.analysis.access.record_accesses`) in execution
+order, tracking which regions have certainly been written (a read
+covered by an earlier write in the same iteration is not *exposed*).
+Values the caller binds (an iteration's index) are substituted into
+offsets the record derived with them symbolic, which is exact; only a
+reference affine just once bound (``I*J``) is re-derived.  Inner loops
+resolve under the replay's contexts; one that does not keeps the
+context, and its accesses degrade to whole-array.  Writes under IF
 guards are treated as both read and written (scatter + collect), since a
 slave that skips the guarded write must still hold current values for the
 inflated collect regions.
@@ -195,5 +201,4 @@ def summarize_loop(
 ) -> Tuple[SummarySet, LoopCtx]:
     """Summary set of a whole loop (its body expanded by its own index)."""
     ctx = loop_context(loop, outer, env or {})
-    record = record_accesses(loop.body, symtab, env)
-    return summarize_record(record, list(outer) + [ctx]), ctx
+    return summarize_statements(loop.body, symtab, [*outer, ctx], env), ctx

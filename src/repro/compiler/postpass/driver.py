@@ -26,27 +26,16 @@ __all__ = ["run_postpass"]
 def _demote_unplannable_loops(unit: F.Unit, log_notes) -> None:
     """Parallel loops whose bounds are not compile-time constants cannot be
     statically partitioned; keep them serial (with a note)."""
-
-    def visit(stmts):
-        for s in stmts:
-            if isinstance(s, F.Do):
-                if s.parallel:
-                    try:
-                        loop_context(s, (), {})
-                    except AccessError as exc:
-                        s.parallel = False
-                        log_notes.append(
-                            f"DO {s.var} (loop {s.loop_id}): demoted to "
-                            f"serial — {exc}"
-                        )
-                visit(s.body)
-            elif isinstance(s, F.If):
-                visit(s.then)
-                for _c, blk in s.elifs:
-                    visit(blk)
-                visit(s.orelse)
-
-    visit(unit.body)
+    for s in F.walk_stmts(unit.body):
+        if isinstance(s, F.Do) and s.parallel:
+            try:
+                loop_context(s, (), {})
+            except AccessError as exc:
+                s.parallel = False
+                log_notes.append(
+                    f"DO {s.var} (loop {s.loop_id}): demoted to "
+                    f"serial — {exc}"
+                )
 
 
 def run_postpass(unit: F.Unit, options) -> SpmdProgram:

@@ -45,33 +45,25 @@ class MpiEnvironment:
 
 
 def _names_in_stmts(stmts) -> Set[str]:
+    """Scalars and arrays a statement list names; of a DO's bounds, only
+    the scalars."""
     names: Set[str] = set()
     for s in F.walk_stmts(stmts):
+        kinds = (F.Var, F.ArrayRef)
         if isinstance(s, F.Assign):
-            for e in F.walk_exprs(s.rhs):
-                if isinstance(e, (F.Var, F.ArrayRef)):
-                    names.add(e.name)
-            for e in F.walk_exprs(s.lhs):
-                if isinstance(e, (F.Var, F.ArrayRef)):
-                    names.add(e.name)
+            exprs = [s.rhs, s.lhs]
         elif isinstance(s, F.Do):
-            for bound in (s.lo, s.hi, s.step):
-                for e in F.walk_exprs(bound):
-                    if isinstance(e, F.Var):
-                        names.add(e.name)
+            exprs, kinds = [s.lo, s.hi, s.step], F.Var
         elif isinstance(s, F.If):
-            conds = [s.cond] + [c for c, _b in s.elifs]
-            for cond in conds:
-                for e in F.walk_exprs(cond):
-                    if isinstance(e, (F.Var, F.ArrayRef)):
-                        names.add(e.name)
+            exprs = [s.cond] + [c for c, _b in s.elifs]
         elif isinstance(s, F.PrintStmt):
-            for item in s.items:
-                if isinstance(item, F.Str):
-                    continue
-                for e in F.walk_exprs(item):
-                    if isinstance(e, (F.Var, F.ArrayRef)):
-                        names.add(e.name)
+            exprs = [i for i in s.items if not isinstance(i, F.Str)]
+        else:
+            continue
+        for expr in exprs:
+            names.update(
+                e.name for e in F.walk_exprs(expr) if isinstance(e, kinds)
+            )
     return names
 
 

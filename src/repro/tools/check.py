@@ -54,6 +54,7 @@ from repro.compiler.postpass.scatter import (
     _PER_ITER_CAP,
     CommPlanner,
     RegionCommPlan,
+    _mask_of,
     _transfers_mask,
 )
 from repro.compiler.postpass.spmd import build_regions
@@ -398,13 +399,7 @@ class _VerifyingPlanner(CommPlanner):
             )
             return []
         stmts, base = self._split_frame(loop, partition)
-        owner = np.full(dctx.count, -1, dtype=int)
-        for r in range(self.nprocs):
-            rctx = partition.rank_ctx(r)
-            if rctx is None:
-                continue
-            for v in rctx.values():
-                owner[(v - dctx.lo) // dctx.step] = r
+        owner = [partition.owner_of(v) for v in dctx.values()]
 
         first_write: Dict[str, np.ndarray] = {}
         hits: Dict[str, Set] = {}
@@ -423,9 +418,7 @@ class _VerifyingPlanner(CommPlanner):
                 if name not in self.env.sizes:
                     continue
                 size = self.env.sizes[name]
-                if any(not l.exact for l in arr.reads) or any(
-                    not l.exact for l in arr.writes
-                ):
+                if not all(l.exact for l in arr.reads + arr.writes):
                     notes.append(
                         f"region {rid}: {name}: widened access info; "
                         "RV401 analysis skipped"
@@ -433,14 +426,11 @@ class _VerifyingPlanner(CommPlanner):
                     return []
                 fw = first_write.get(name)
                 if fw is not None and arr.reads:
-                    rmask = np.zeros(size, dtype=bool)
-                    for l in arr.reads:
-                        rmask |= l.mask(size)
-                    dep = rmask & (fw >= 0)
+                    dep = _mask_of(arr.reads, size) & (fw >= 0)
                     for e in np.flatnonzero(dep):
                         if owner[fw[e]] != owner[t]:
                             hits.setdefault(name, set()).add(
-                                (int(owner[fw[e]]), int(owner[t]))
+                                (owner[fw[e]], owner[t])
                             )
             for name, arr in summary.arrays.items():
                 if name not in self.env.sizes or not arr.writes:
@@ -449,10 +439,7 @@ class _VerifyingPlanner(CommPlanner):
                 fw = first_write.setdefault(
                     name, np.full(size, -1, dtype=int)
                 )
-                wmask = np.zeros(size, dtype=bool)
-                for l in arr.writes:
-                    wmask |= l.mask(size)
-                fw[wmask & (fw < 0)] = t
+                fw[_mask_of(arr.writes, size) & (fw < 0)] = t
 
         diags = []
         for name in sorted(hits):

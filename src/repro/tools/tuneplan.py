@@ -529,24 +529,13 @@ def _cand_key(grain: str, spec: Optional[str]) -> str:
 
 def _par_loops(program) -> Dict[int, F.Do]:
     """region_id -> parallel loop, walking the SPMD region tree."""
-    from repro.compiler.postpass.spmd import IfRegion, ParRegion, SeqLoop
+    from repro.compiler.postpass.spmd import ParRegion, iter_regions
 
-    loops: Dict[int, F.Do] = {}
-
-    def visit(regions):
-        for region in regions:
-            if isinstance(region, ParRegion):
-                loops[region.region_id] = region.loop
-            elif isinstance(region, SeqLoop):
-                visit(region.body)
-            elif isinstance(region, IfRegion):
-                visit(region.then)
-                for _c, blk in region.elifs:
-                    visit(blk)
-                visit(region.orelse)
-
-    visit(program.regions)
-    return loops
+    return {
+        r.region_id: r.loop
+        for r in iter_regions(program.regions)
+        if isinstance(r, ParRegion)
+    }
 
 
 #: Loops wider than this skip the per-iteration weight analysis (the
