@@ -9,6 +9,9 @@ absolute terms, while Ethernet's coarser loss unit (frame vs flit) gives
 it the smaller relative penalty.
 """
 
+import json
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -22,6 +25,11 @@ from repro.workloads import jacobi
 
 DROP_PLAN = FaultPlan(
     seed=11, specs=(FaultSpec(kind="drop", rate=0.05),), max_sim_s=10.0
+)
+KILL_PLAN = FaultPlan(
+    seed=1,
+    specs=(FaultSpec(kind="kill", node=2, at_s=5e-4),),
+    max_sim_s=5.0,
 )
 
 
@@ -48,13 +56,26 @@ def test_ethernet_drop_recovers_bit_identical(jacobi4, eth4):
 
 
 def test_ethernet_node_kill_raises_typed_error(jacobi4, eth4):
-    plan = FaultPlan(
-        seed=1,
-        specs=(FaultSpec(kind="kill", node=2, at_s=5e-4),),
-        max_sim_s=5.0,
-    )
     with pytest.raises(MpiNodeDeadError):
-        run_program(jacobi4, cluster_params=eth4, faults=plan)
+        run_program(jacobi4, cluster_params=eth4, faults=KILL_PLAN)
+
+
+def _outcome(program, params, plan):
+    """A run's report JSON, or its typed error's class and message."""
+    try:
+        report = run_program(program, cluster_params=params, faults=plan)
+    except MpiNodeDeadError as exc:
+        return type(exc).__name__, str(exc)
+    return json.dumps(report.to_jsonable(), sort_keys=True)
+
+
+@pytest.mark.parametrize("plan", [DROP_PLAN, KILL_PLAN], ids=["drop", "kill"])
+def test_ethernet_plans_fast_path_matches_stepwise(jacobi4, eth4, plan):
+    """Under a fault plan the fast path's NIC rules change no report and
+    no typed error on Ethernet."""
+    slow = _outcome(jacobi4, replace(eth4, fast_path=False), plan)
+    fast = _outcome(jacobi4, replace(eth4, fast_path=True), plan)
+    assert fast == slow
 
 
 def test_ethernet_runs_deterministic_under_plan(jacobi4, eth4):
