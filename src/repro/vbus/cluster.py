@@ -1,11 +1,25 @@
-"""Cluster assembly: hosts + NICs + interconnect behind one transfer API.
+"""Cluster assembly: hosts + NICs + one network object behind one transfer API.
 
-:class:`Cluster` is the facade the MPI-2 library talks to.  It hides which
-interconnect is configured (V-Bus mesh or Fast Ethernet) behind two
-operations:
+:class:`Cluster` is the facade the MPI-2 library talks to.  It holds one
+network object — a :class:`~repro.vbus.router.WormholeMesh` (V-Bus) or an
+:class:`~repro.vbus.ethernet.EthernetNetwork` — and drives it through the
+interface both answer:
+
+* ``unicast(src, dst, nbytes, rate_cap)`` — the stepwise wire leg, a
+  generator;
+* ``start_fast_leg(...)`` and ``start_leg(...)`` — the fast path's leg
+  entry points: a completion event, or ``None`` meaning "run the stepwise
+  leg" (always on Ethernet, and on the mesh under an active fault plan);
+* ``can_book`` — whether a put stream may book legs ahead of the event
+  horizon (the mesh only);
+* ``stats()`` — the network's own counters.
+
+Its operations:
 
 * :meth:`Cluster.transfer` — one point-to-point message, through the source
-  NIC (DMA or PIO) and the network.
+  NIC (DMA or PIO, :meth:`~repro.vbus.nic.Nic.inject`) and the network.
+* :meth:`Cluster.rma_legs` — one-sided legs: the same injection phase,
+  then a background wire leg.
 * :meth:`Cluster.hw_broadcast` — the V-Bus hardware broadcast (freezes
   point-to-point traffic, streams one wave to all nodes), or the Ethernet
   physical-bus broadcast; ``None``-capable when the hardware lacks it.
@@ -13,7 +27,8 @@ operations:
 
 from __future__ import annotations
 
-from typing import Dict, Generator, List, Optional
+from functools import partial
+from typing import Dict, Generator, List, Optional, Union
 
 from repro.obs import Tracer
 from repro.sim import Event, Simulator
@@ -21,12 +36,9 @@ from repro.vbus.ethernet import EthernetNetwork
 from repro.vbus.host import Host
 from repro.vbus.mesh import MeshTopology
 from repro.vbus.nic import Nic, RECV_OVERHEAD_S, TransferReceipt
-from repro.vbus.fastpath import (
-    book_leg, claim_leg, claimable, leg_times, start_fast_leg, start_leg,
-)
+from repro.vbus.fastpath import book_leg, claim_leg, claim_miss, leg_times
 from repro.vbus.params import ClusterParams, VBUS_SKWP, cluster_for
 from repro.vbus.router import WormholeMesh
-from repro.vbus.signal import bandwidth_Bps
 from repro.vbus.vbusctl import FreezeDomain, VBusController
 
 __all__ = ["Cluster", "build_cluster"]
@@ -46,22 +58,24 @@ def _one_leg(leg):
 class _RmaStream:
     """One origin's one-sided legs, run as a chain of kernel callbacks.
 
-    Each leg goes through :meth:`Cluster._rma_leg`'s phases with the same
-    heap entries in the same order: the setup timer (on the mesh merged
-    with a strided leg's per-element copy), the DMA engine (taken at once
-    when free on the mesh, else requested and granted), the
-    ``dma_setup`` timer, then the wire leg (:func:`start_leg`, or the
-    ``rma-wire`` process on Ethernet).  Only the generator frames are
-    gone: the caller yields once for the whole stream, and the callback
-    that ends the last leg's blocking phase resumes it inline
-    (:meth:`Simulator.fire`), where the generator would have continued.
+    Each leg goes through the fast path's :meth:`~repro.vbus.nic.Nic.inject`
+    phases with the same heap entries in the same order: the setup timer
+    (merged with a strided leg's per-element copy), the DMA engine (taken
+    at once when free, else requested and granted), the ``dma_setup``
+    timer, then the network's ``start_leg`` (or, where that answers
+    ``None``, the ``rma-wire`` process of :meth:`Cluster._wire`).  Only
+    the generator frames are gone: the caller yields once for the whole
+    stream, and the callback that ends the last leg's blocking phase
+    resumes it inline (:meth:`Simulator.fire`), where the generator would
+    have continued.
 
-    **Booking ahead of the horizon** (mesh only).  When a leg reaches the
-    wire at ``t`` and the fast path would claim it, let ``F`` be the
-    next live heap entry (``sim.peek()``).  If the leg's release and
-    tail, and every phase of the next leg up to its own wire time, end
-    strictly before ``F``, and the next leg could be claimed then too,
-    nothing else can run in between: no other entry pops before ``F``,
+    **Booking ahead of the horizon** (a network that ``can_book``: the
+    mesh; the stream decides once, when it is built).  When a leg
+    reaches the wire at ``t`` and the fast path would claim it, let
+    ``F`` be the next live heap entry (``sim.peek()``).  If the leg's
+    release and tail, and every phase of the next leg up to its own
+    wire time, end strictly before ``F``, and the next leg could be
+    claimed then too, nothing else can run in between: no other entry pops before ``F``,
     only this rank uses its DMA engine, a held channel stays held until
     an entry at or after ``F`` releases it, and a freeze can only start
     in a popped entry.  So the leg is *booked*: its channel, wire, NIC
@@ -73,8 +87,9 @@ class _RmaStream:
     """
 
     __slots__ = (
-        "cluster", "sim", "origin", "nic", "mesh", "legs", "done", "value",
-        "leg", "t", "t0", "setup_s", "dma_setup_s", "dma_rate_Bps",
+        "cluster", "sim", "origin", "nic", "network", "books", "legs",
+        "done", "value", "leg", "t", "t0", "setup_s", "dma_setup_s",
+        "dma_rate_Bps",
     )
 
     def __init__(self, cluster, origin: int, legs):
@@ -82,7 +97,9 @@ class _RmaStream:
         self.sim = cluster.sim
         self.origin = origin
         self.nic = cluster.nics[origin]
-        self.mesh = cluster.mesh
+        self.network = cluster.network
+        #: Decided once: whether legs may be booked ahead of the horizon.
+        self.books = self.network.can_book
         self.legs = legs
         self.setup_s = self.nic.software_setup_s()
         self.dma_setup_s = cluster.params.nic.dma_setup_s
@@ -132,26 +149,20 @@ class _RmaStream:
     def _first_timer(self) -> None:
         _remote, _nbytes, elements, contiguous, _dir = self.leg
         at = self.t + self.setup_s
-        if contiguous or self.mesh is None:
+        if contiguous:
             self.sim.pooled_timeout_at(at, self._on_setup)
         else:
             self.sim.pooled_timeout_at(
-                at + self.cluster._pio_s(elements), self._on_wire
+                at + self.nic.pio_s(elements), self._on_wire
             )
 
     def _on_setup(self, _ev) -> None:
-        self.t = now = self.sim.now
-        if self.leg[3]:
-            dma = self.nic._dma
-            if self.mesh is not None and dma.try_acquire():
-                self._on_grant(None)
-            else:
-                dma.request()._add_cb(self._on_grant)
+        self.t = self.sim.now
+        dma = self.nic._dma
+        if dma.try_acquire():
+            self._on_grant(None)
         else:
-            # Ethernet: the per-element copy is its own timer.
-            self.sim.pooled_timeout_at(
-                now + self.cluster._pio_s(self.leg[2]), self._on_wire
-            )
+            dma.request()._add_cb(self._on_grant)
 
     def _on_grant(self, _ev) -> None:
         self.t = now = self.sim.now
@@ -175,8 +186,8 @@ class _RmaStream:
         then fetch and start the next leg."""
         cluster = self.cluster
         sim = self.sim
-        mesh = self.mesh
         nic = self.nic
+        network = self.network
         horizon = None
         while True:
             remote, nbytes, elements, contiguous, direction = self.leg
@@ -190,23 +201,20 @@ class _RmaStream:
             if horizon is not None:
                 # Proved claimable by the look-ahead that brought us here.
                 pending = Event(sim)
-            elif mesh is not None and not mesh.domain.frozen:
+            elif self.books:
                 horizon = sim.peek()
                 # Booking needs at least the next leg's setup before the
                 # horizon; otherwise start_leg claims or queues as usual.
-                if horizon > self.t + self.setup_s and claimable(
-                    mesh, mesh.channel_path(src, dst), self.t, horizon
-                ):
+                if horizon > self.t + self.setup_s and claim_miss(
+                    network, network.channel_path(src, dst), self.t, horizon
+                ) is None:
                     pending = Event(sim)
             if pending is not None:
                 completion = pending
             else:
-                completion = None
-                if mesh is not None:
-                    completion = start_leg(
-                        mesh, src, dst, nbytes, cap, RECV_OVERHEAD_S,
-                        at_tail=at_tail,
-                    )
+                completion = network.start_leg(
+                    src, dst, nbytes, cap, RECV_OVERHEAD_S, at_tail=at_tail
+                )
                 if completion is None:
                     completion = cluster._wire(
                         self.origin, remote, nbytes, contiguous, direction
@@ -214,7 +222,7 @@ class _RmaStream:
             if contiguous:
                 cpu_s = self.setup_s + self.dma_setup_s
             else:
-                cpu_s = self.setup_s + cluster._pio_s(elements)
+                cpu_s = self.setup_s + nic.pio_s(elements)
             cluster._charge_leg(
                 self.origin, remote, nbytes, elements, contiguous, direction,
                 cpu_s, self.t0, self.t,
@@ -222,9 +230,9 @@ class _RmaStream:
             t = self.t
             more = self._send((self.t0, t, cpu_s, completion))
             if pending is not None:
-                channels = mesh.channel_path(src, dst)
+                channels = network.channel_path(src, dst)
                 hop_starts, body_start, body_s = leg_times(
-                    mesh, len(channels), t, nbytes, cap
+                    network, len(channels), t, nbytes, cap
                 )
                 t_rel = body_start + body_s
                 t_end = t_rel + RECV_OVERHEAD_S
@@ -232,14 +240,14 @@ class _RmaStream:
                 if more:
                     nxt = self._next_wire_time(t_end, contiguous, horizon)
                 if nxt is not None:
-                    book_leg(mesh, channels, hop_starts, t_rel, nbytes)
+                    book_leg(network, channels, hop_starts, t_rel, nbytes)
                     pending._value = None
                     pending._processed = True
                     self._pass_dma(contiguous, t, t_end)
                     self.t = nxt
                     continue
                 claim_leg(
-                    mesh, channels, t, nbytes, cap, RECV_OVERHEAD_S,
+                    network, channels, t, nbytes, cap, RECV_OVERHEAD_S,
                     at_tail=at_tail, done=pending,
                 )
             if more:
@@ -264,14 +272,14 @@ class _RmaStream:
                 return None  # a claimed leg holds it past the horizon
             t = at + self.dma_setup_s
         else:
-            t = at + self.cluster._pio_s(elements)
+            t = at + self.nic.pio_s(elements)
         if not (t_end < t < horizon):
             return None
         if direction == "put":
-            channels = self.mesh.channel_path(self.origin, remote)
+            channels = self.network.channel_path(self.origin, remote)
         else:
-            channels = self.mesh.channel_path(remote, self.origin)
-        if not claimable(self.mesh, channels, t, horizon):
+            channels = self.network.channel_path(remote, self.origin)
+        if claim_miss(self.network, channels, t, horizon) is not None:
             return None
         return t
 
@@ -308,24 +316,25 @@ class Cluster:
         ]
         self.domain = FreezeDomain(sim)
 
+        #: The V-Bus broadcast engine (the mesh only).
+        self.vbusctl: Optional[VBusController] = None
+        #: The one network object every leg runs through.
+        self.network: Union[WormholeMesh, EthernetNetwork]
         if params.network == "vbus":
-            self.mesh: Optional[WormholeMesh] = WormholeMesh(
+            self.network = WormholeMesh(
                 sim, self.topology, params.link, self.domain
             )
             # Batched accounting on: the stepwise unicast may re-prove a
             # fallen-back leg safe mid-route and promote it (fastpath).
-            self.mesh.fast_path = params.fast_path
-            self.ethernet: Optional[EthernetNetwork] = None
+            self.network.fast_path = params.fast_path
             setup = (
                 max(1, self.topology.diameter) * params.link.router_delay_s + 1e-6
             )
-            self.vbusctl: Optional[VBusController] = VBusController(
+            self.vbusctl = VBusController(
                 sim, self.domain, setup_s=setup, fast=params.fast_path
             )
         else:
-            self.mesh = None
-            self.vbusctl = None
-            self.ethernet = EthernetNetwork(sim, params.ethernet, self.nprocs)
+            self.network = EthernetNetwork(sim, params.ethernet, self.nprocs)
 
         #: Fault injection (see repro.faults): one injector per run, wired
         #: into every layer that models the wire.  Imported lazily — the
@@ -336,15 +345,11 @@ class Cluster:
             from repro.faults.injector import FaultInjector
 
             self.injector = FaultInjector(sim, params.faults, self.nprocs)
-            for nic in self.nics:
-                nic.injector = self.injector
-            if self.mesh is not None:
-                self.mesh.injector = self.injector
+            for part in self.nics + [self.network]:
+                part.injector = self.injector
             if self.vbusctl is not None:
                 self.vbusctl.injector = self.injector
                 self.vbusctl.width_bits = params.link.width_bits
-            if self.ethernet is not None:
-                self.ethernet.injector = self.injector
         #: One-sided legs run as callback streams (see :class:`_RmaStream`).
         self.streams = params.fast_path and self.injector is None
 
@@ -352,12 +357,6 @@ class Cluster:
     @property
     def nprocs(self) -> int:
         return self.params.nprocs
-
-    @property
-    def link_rate_Bps(self) -> float:
-        if self.mesh is not None:
-            return self.mesh.link_rate_Bps
-        return self.ethernet.params.rate_Bps
 
     @property
     def has_hw_broadcast(self) -> bool:
@@ -388,19 +387,13 @@ class Cluster:
                 total_s=0.0,
             )
 
+        network = self.network
         fast_start = None
-        if self.mesh is not None:
-            network_call = lambda cap: self.mesh.unicast(src, dst, nbytes, cap)
-            if self.params.fast_path:
-                fast_start = lambda cap, tail_s, at_release: start_fast_leg(
-                    self.mesh, src, dst, nbytes, cap, tail_s,
-                    at_release=at_release,
-                )
-        else:
-            network_call = lambda cap: self.ethernet.unicast(src, dst, nbytes, cap)
+        if self.params.fast_path:
+            fast_start = partial(network.start_fast_leg, src, dst, nbytes)
         receipt = yield from self.nics[src].transfer(
-            network_call, nbytes, elements=elements, contiguous=contiguous,
-            fast_start=fast_start,
+            partial(network.unicast, src, dst, nbytes), nbytes,
+            elements=elements, contiguous=contiguous, fast_start=fast_start,
         )
         self.hosts[src].charge_comm_cpu(receipt.cpu_s)
         return receipt
@@ -420,12 +413,12 @@ class Cluster:
         if self.nprocs == 1:
             return None
         if self.vbusctl is not None:
-            rate = min(self.link_rate_Bps, self.params.nic.dma_rate_Bps)
+            rate = min(self.network.link_rate_Bps, self.params.nic.dma_rate_Bps)
             network_call = lambda cap: self.vbusctl.broadcast(
                 nbytes, rate if cap is None else min(rate, cap), src=src
             )
         else:
-            network_call = lambda cap: self.ethernet.broadcast(src, nbytes, cap)
+            network_call = partial(self.network.broadcast, src, nbytes)
         receipt = yield from self.nics[src].transfer(
             network_call, nbytes, elements=elements, contiguous=contiguous
         )
@@ -500,9 +493,9 @@ class Cluster:
         """One leg as a generator: the oracle the streams reproduce.
 
         It also runs every leg under an active fault plan; there the fast
-        path keeps its synchronous DMA take and merged PIO timer, and each
-        wire leg is an ``rma-wire`` process so faults interleave with
-        other traffic as the oracle orders them.
+        path keeps its injection rules (:meth:`~repro.vbus.nic.Nic.inject`),
+        and each wire leg is an ``rma-wire`` process so faults interleave
+        with other traffic as the oracle orders them.
         """
         self._check_leg(origin, remote, direction)
         if elements is None:
@@ -514,37 +507,15 @@ class Cluster:
                 return 0.0, self.sim.completed_event()
             return 0.0, self.sim.process(_noop(), name="rma-local")
         t0 = self.sim.now
-        nic = self.nics[origin]
-        setup_s = nic.software_setup_s()
-        cpu_s = setup_s
-        fast = self.params.fast_path and self.mesh is not None
-        if not fast or contiguous:
-            yield self.sim.timeout(setup_s)
-        if contiguous:
-            if not (fast and nic._dma.try_acquire()):
-                yield nic._dma.request()
-            yield self.sim.timeout(self.params.nic.dma_setup_s)
-            cpu_s += self.params.nic.dma_setup_s
-        else:
-            pio = self._pio_s(elements)
-            if fast:
-                # Merged setup + per-element copy: one event, bit-identical
-                # end time (sequential additions, as stepwise fires them).
-                yield self.sim.timeout_at((t0 + setup_s) + pio)
-            else:
-                yield self.sim.timeout(pio)
-            cpu_s += pio
+        cpu_s = yield from self.nics[origin].inject(
+            elements, contiguous, self.params.fast_path
+        )
         completion = self._wire(origin, remote, nbytes, contiguous, direction)
         self._charge_leg(
             origin, remote, nbytes, elements, contiguous, direction, cpu_s,
             t0, self.sim.now,
         )
         return cpu_s, completion
-
-    def _pio_s(self, elements: int) -> float:
-        """CPU seconds of a strided leg's per-element copy."""
-        nic = self.params.nic
-        return nic.pio_setup_s + elements * nic.pio_per_element_s
 
     def _check_leg(self, origin: int, remote: int, direction: str) -> None:
         if direction != "put" and direction != "get":
@@ -558,25 +529,16 @@ class Cluster:
         """The ``rma-wire`` process of one leg: the wire, the receive
         tail, and (contiguous) the DMA engine's release after both."""
         src, dst = (origin, remote) if direction == "put" else (remote, origin)
-        nic = self.nics[origin]
-        if self.mesh is not None:
-            wire_call = lambda cap: self.mesh.unicast(src, dst, nbytes, cap)
-        else:
-            wire_call = lambda cap: self.ethernet.unicast(src, dst, nbytes, cap)
-        if contiguous:
+        dma = self.nics[origin]._dma
+        cap = self.params.nic.dma_rate_Bps if contiguous else None
 
-            def wire():
-                try:
-                    yield from wire_call(self.params.nic.dma_rate_Bps)
-                    yield self.sim.timeout(RECV_OVERHEAD_S)
-                finally:
-                    nic._dma.release()
-
-        else:
-
-            def wire():
-                yield from wire_call(None)
+        def wire():
+            try:
+                yield from self.network.unicast(src, dst, nbytes, cap)
                 yield self.sim.timeout(RECV_OVERHEAD_S)
+            finally:
+                if contiguous:
+                    dma.release()
 
         return self.sim.process(wire(), name=f"rma-wire[{origin}->{remote}]")
 
@@ -622,25 +584,9 @@ class Cluster:
             "freezes": self.domain.freeze_count,
             "frozen_s": self.domain.total_frozen_s,
         }
-        if self.vbusctl is not None:
-            out["hw_broadcasts"] = self.vbusctl.broadcast_count
-            out["hw_broadcast_bytes"] = self.vbusctl.broadcast_bytes
-        if self.mesh is not None:
-            out["mesh_messages"] = self.mesh.messages
-            out["mesh_bytes"] = self.mesh.bytes
-            out["fast_legs"] = self.mesh.fast_legs
-            out["fast_fallbacks"] = self.mesh.fast_fallbacks
-            out["fast_demotions"] = self.mesh.fast_demotions
-            out["fast_promotions"] = self.mesh.fast_promotions
-            out["fast_fallback_injector"] = self.mesh.fast_fallback_injector
-            out["fast_fallback_frozen"] = self.mesh.fast_fallback_frozen
-            out["fast_fallback_peek"] = self.mesh.fast_fallback_peek
-            out["fast_fallback_busy"] = self.mesh.fast_fallback_busy
-        if self.ethernet is not None:
-            out["ether_messages"] = self.ethernet.messages
-            out["ether_bytes"] = self.ethernet.bytes
-        if self.injector is not None:
-            out.update(self.injector.stats())
+        for part in (self.vbusctl, self.network, self.injector):
+            if part is not None:
+                out.update(part.stats())
         return out
 
 

@@ -15,12 +15,15 @@ and the bisection grows with node count.  Broadcast is switch flooding —
 one uplink transmission replicated onto every downlink in parallel.  This
 is the "modeled switched GigE" leg of the three-backend crossover sweep
 (EXPERIMENTS.md).
+
+It answers the mesh's network interface (:mod:`repro.vbus.cluster`);
+its fast-path leg entry points answer ``None``: run the stepwise leg.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Generator, Optional
+from typing import Dict, Generator, Optional
 
 from repro.sim import AllOf, Resource, Simulator
 from repro.vbus.params import EthernetParams
@@ -30,6 +33,9 @@ __all__ = ["EthernetNetwork"]
 
 class EthernetNetwork:
     """An Ethernet segment: one shared medium, or a per-port switch."""
+
+    #: Put streams book legs ahead of the event horizon only on the mesh.
+    can_book = False
 
     def __init__(self, sim: Simulator, params: EthernetParams, nnodes: int):
         self.sim = sim
@@ -54,6 +60,17 @@ class EthernetNetwork:
         #: Statistics.
         self.messages = 0
         self.bytes = 0
+
+    def start_fast_leg(self, *_leg, **_hooks) -> None:
+        """The fast path's leg entry points (``start_leg`` too): no
+        closed-form Ethernet leg exists yet, so run :meth:`unicast`."""
+        return None
+
+    start_leg = start_fast_leg
+
+    def stats(self) -> Dict[str, float]:
+        """Wire counters for :meth:`Cluster.stats`."""
+        return {"ether_messages": self.messages, "ether_bytes": self.bytes}
 
     def _wire_time(self, nbytes: int) -> float:
         """Medium occupancy: per-frame framing overhead plus payload bits."""

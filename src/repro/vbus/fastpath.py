@@ -16,13 +16,15 @@ Exactness argument (the equivalence suite in
   the stepwise path performs (``t += router_delay`` per hop, then
   ``t += nbytes/rate``) and scheduled at absolute times, so no
   re-rounding can creep in.
-* A leg is claimed only when every channel on the route is free, the
-  freeze domain is thawed, and — for multi-hop routes — no other event
-  is scheduled at or before ``now + (hops-1) * router_delay``
-  (``sim.peek()`` strictly later).  Under that guard no other process
-  can run, request a claimed channel, or start a freeze while the head
-  would still be advancing hop by hop, so holding the whole path from
-  ``now`` is observationally identical to acquiring it hop by hop.
+* A leg is claimed only when it passes the claim-time proof
+  (:func:`claim_miss`, the one place it is written): no active fault
+  plan, the freeze domain thawed, every channel on the route free,
+  and — for multi-hop routes — no other event scheduled at or before
+  ``now + (hops-1) * router_delay`` (``sim.peek()`` strictly later).
+  Under that guard no other process can run, request a claimed
+  channel, or start a freeze while the head would still be advancing
+  hop by hop, so holding the whole path from ``now`` is observationally
+  identical to acquiring it hop by hop.
   Single-hop legs are exempt: their claim point coincides exactly with
   the stepwise acquire.
 * A leg that misses the claim-time proof is not lost: it advances hop
@@ -34,6 +36,11 @@ Exactness argument (the equivalence suite in
   the stepwise loop would have produced.  Promotions are counted in
   ``mesh.fast_promotions``; claim-time misses are broken down by cause
   in ``mesh.fast_fallback_{injector,frozen,peek,busy}``.
+* These functions are the mesh's leg entry points:
+  :class:`~repro.vbus.router.WormholeMesh` has :func:`start_fast_leg`
+  and :func:`start_leg` as methods, which ``Nic.transfer`` and the put
+  streams call on whatever network the cluster holds (Ethernet answers
+  ``None``: run the stepwise leg).
 * A contended one-sided leg (:func:`start_leg`, used by the put
   streams of ``Cluster.rma_legs``) advances as a :class:`_QueuedLeg`: kernel
   callbacks, not a generator process, but the *same events* — same
@@ -102,7 +109,7 @@ from typing import Callable, List, Optional
 from repro.sim.kernel import URGENT, Event
 
 __all__ = [
-    "book_leg", "claim_leg", "claimable", "leg_times", "start_fast_leg",
+    "book_leg", "claim_leg", "claim_miss", "leg_times", "start_fast_leg",
     "start_leg", "try_promote",
 ]
 
@@ -411,17 +418,32 @@ def leg_times(mesh, hops: int, t: float, nbytes: int,
     return hop_starts, t, nbytes / rate
 
 
-def claimable(mesh, channels, t: float, horizon: float) -> bool:
-    """The claim-time proof for a leg injected at ``t`` over ``channels``
-    when the next foreign heap entry is at ``horizon`` (the caller
-    checks the injector and the freeze domain)."""
+def claim_miss(mesh, channels, t: float,
+               horizon: Optional[float] = None) -> Optional[str]:
+    """The claim-time proof for a leg injected at ``t`` over ``channels``.
+
+    Returns ``None`` when it holds, else the mesh counter naming the
+    first check that failed: an active fault plan (``injector``), a
+    frozen domain (``frozen``), a foreign heap entry inside the head's
+    advance over a 2+ hop route (``peek``), or a held channel
+    (``busy``).  ``horizon`` is the next foreign entry's time; ``None``
+    peeks the heap, and only when a 2+ hop route needs it.
+    """
+    inj = mesh.injector
+    if inj is not None and inj.active:
+        return "fast_fallback_injector"
+    if mesh.domain.frozen:
+        return "fast_fallback_frozen"
     h = len(channels)
-    if h > 1 and not (horizon > t + (h - 1) * mesh.link.router_delay_s):
-        return False
+    if h > 1:
+        if horizon is None:
+            horizon = mesh.sim.peek()
+        if not (horizon > t + (h - 1) * mesh.link.router_delay_s):
+            return "fast_fallback_peek"
     for ch in channels:
         if not ch.is_free:
-            return False
-    return True
+            return "fast_fallback_busy"
+    return None
 
 
 def claim_leg(mesh, channels, t: float, nbytes: int,
@@ -479,42 +501,24 @@ def start_fast_leg(
     invoking ``at_release`` at path-release time and ``at_tail`` just
     before completion) — or ``None`` when the leg cannot be proven safe,
     in which case the caller must run the stepwise path.
-    """
-    inj = mesh.injector
-    if inj is not None and inj.active:
-        # Active fault plan: faulty wire legs must run stepwise so stall
-        # windows, drops, and retransmission rounds interleave with other
-        # traffic exactly as the oracle orders them.  Full demotion — not
-        # per-leg — keeps the contract trivially provable (pinned by
-        # tests/test_fastpath_equivalence.py).
-        mesh.fast_fallbacks += 1
-        mesh.fast_fallback_injector += 1
-        return None
-    domain = mesh.domain
-    if domain.frozen:
-        mesh.fast_fallbacks += 1
-        mesh.fast_fallback_frozen += 1
-        return None
-    channels = mesh.channel_path(src, dst)
-    h = len(channels)
-    if h == 0:
-        return None
-    sim = mesh.sim
-    now = sim.now
-    rd = mesh.link.router_delay_s
-    if h > 1 and not (sim.peek() > now + (h - 1) * rd):
-        # Another process could act while the head would still be
-        # advancing — claiming the whole path now might steal a channel
-        # early.  Only the oracle can order that correctly.
-        mesh.fast_fallbacks += 1
-        mesh.fast_fallback_peek += 1
-        return None
-    for ch in channels:
-        if not ch.is_free:
-            mesh.fast_fallbacks += 1
-            mesh.fast_fallback_busy += 1
-            return None
 
+    Each miss is counted by cause (:func:`claim_miss`).  Under an active
+    fault plan every leg misses: faulty wire legs run stepwise so stall
+    windows, drops and retransmission rounds interleave with other
+    traffic exactly as the oracle orders them.  Full demotion — not
+    per-leg — keeps the contract trivially provable (pinned by
+    tests/test_fastpath_equivalence.py).  A foreign entry inside the
+    head's advance could act while the head would still be moving, so
+    claiming the whole path then might steal a channel early; only the
+    oracle orders that correctly.
+    """
+    channels = mesh.channel_path(src, dst)
+    now = mesh.sim.now
+    miss = claim_miss(mesh, channels, now)
+    if miss is not None:
+        mesh.fast_fallbacks += 1
+        setattr(mesh, miss, getattr(mesh, miss) + 1)
+        return None
     return claim_leg(
         mesh, channels, now, nbytes, rate_cap_Bps, tail_s,
         at_release=at_release, at_tail=at_tail,
@@ -535,10 +539,11 @@ def try_promote(
     claim boundary (``k == len(path)`` means all hops are held and only
     the body stream remains).  The first ``k`` channels are already held
     by the caller; if the remaining sub-path passes the same claim-time
-    proof :func:`start_fast_leg` uses — domain thawed, every remaining
-    channel free, and (for 2+ remaining hops) no foreign event inside
-    the head-advance window — the leg takes ownership of the *whole*
-    path and finishes it with two scheduled events.
+    proof :func:`start_fast_leg` uses (:func:`claim_miss`) — no active
+    fault plan, domain thawed, every remaining channel free, and (for 2+
+    remaining hops) no foreign event inside the head-advance window —
+    the leg takes ownership of the *whole* path and finishes it with two
+    scheduled events.
 
     Returns the completion event (succeeds at wire end; the caller still
     owes the receive tail and its own accounting is skipped because the
@@ -546,29 +551,17 @@ def try_promote(
     are not re-counted as fallbacks — the injection-time miss already
     was.
     """
-    inj = mesh.injector
-    if inj is not None and inj.active:
-        return None
-    domain = mesh.domain
-    if domain.frozen:
-        return None
-    sim = mesh.sim
-    now = sim.now
-    rd = mesh.link.router_delay_s
+    now = mesh.sim.now
     rest = path[k:]
-    r = len(rest)
-    if r > 1 and not (sim.peek() > now + (r - 1) * rd):
+    if claim_miss(mesh, rest, now) is not None:
         return None
-    for ch in rest:
-        if not ch.is_free:
-            return None
 
     # Claim the remainder; hop timestamps follow stepwise float
     # arithmetic from *this* claim boundary.  ``r == 0`` (body-only) and
     # ``r == 1`` need no peek guard: the claim point coincides with the
     # stepwise acquire, and a held path cannot be stolen.
     hop_starts, body_start, body_s = leg_times(
-        mesh, r, now, nbytes, rate_cap_Bps
+        mesh, len(rest), now, nbytes, rate_cap_Bps
     )
     for ch, t in zip(rest, hop_starts):
         ch.claim(t)

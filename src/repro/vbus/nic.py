@@ -15,6 +15,9 @@ Cost structure charged per message:
   ``pio_per_element_s`` per element *of CPU time*.
 * the receiving daemon pays a dequeue cost (``recv_overhead_s``).
 
+Sends (:meth:`Nic.transfer`) and one-sided legs (``Cluster._rma_leg``)
+run the same blocking phase, :meth:`Nic.inject`, on every network.
+
 :meth:`Nic.transfer` returns a :class:`TransferReceipt` so callers (the
 MPI-2 library and the run reports) can split *CPU-occupied* time from
 *offloaded* (DMA/wire) time — the distinction behind the paper's claim that
@@ -70,6 +73,46 @@ class Nic:
         """Per-message software cost on the injection path."""
         return self.params.per_message_overhead_s()
 
+    def pio_s(self, elements: int) -> float:
+        """CPU seconds of a strided message's per-element copy."""
+        return self.params.pio_setup_s + elements * self.params.pio_per_element_s
+
+    def inject(
+        self, elements: int, contiguous: bool, fast: bool,
+        *, release_on_abort: bool = False,
+    ) -> Generator:
+        """The blocking injection phase; returns its CPU seconds.
+
+        The software setup, then the DMA engine plus ``dma_setup_s`` (the
+        engine stays held; ``release_on_abort`` frees it if the caller
+        dies meanwhile), or the PIO copy.  ``fast`` merges the setup and
+        PIO timers into one event at the bit-identical end time and takes
+        a free engine synchronously: same instants, fewer kernel events.
+        """
+        sim = self.sim
+        setup = self.software_setup_s()
+        if not contiguous:
+            pio = self.pio_s(elements)
+            if fast:
+                yield sim.timeout_at((sim.now + setup) + pio)
+            else:
+                yield sim.timeout(setup)
+                yield sim.timeout(pio)
+            return setup + pio
+        yield sim.timeout(setup)
+        # DMA path: program a descriptor, then the engine streams the
+        # user buffer to the driver buffer and onto the wire without the
+        # CPU.  The DMA rate caps the wire streaming rate.
+        if not (fast and self._dma.try_acquire()):
+            yield self._dma.request()
+        try:
+            yield sim.timeout(self.params.dma_setup_s)
+        except BaseException:
+            if release_on_abort:
+                self._dma.release()
+            raise
+        return setup + self.params.dma_setup_s
+
     def transfer(
         self,
         network_call,
@@ -84,7 +127,8 @@ class Nic:
         ``network_call`` is a callable returning a generator that delivers
         ``nbytes`` through the interconnect, honoring an optional source-side
         rate cap.  ``fast_start(rate_cap, tail_s, at_release)``, when given,
-        may charge the wire leg + receive tail analytically (see
+        selects the fast path's injection rules (:meth:`inject`) and may
+        charge the wire leg + receive tail analytically (see
         :mod:`repro.vbus.fastpath`), returning a completion event — or
         ``None``, in which case the stepwise ``network_call`` runs.
         Returns a :class:`TransferReceipt`.
@@ -97,57 +141,28 @@ class Nic:
             # kills fire here, before any cost is charged.
             inj.on_inject(self.rank)
         t0 = self.sim.now
-        cpu_s = 0.0
+        cpu_s = yield from self.inject(
+            elements, contiguous, fast_start is not None,
+            release_on_abort=True,
+        )
+        cap = self.params.dma_rate_Bps if contiguous else None
         done = None
-
-        # Software setup: enqueue on the (possibly shared) message queue.
-        setup = self.software_setup_s()
-        if fast_start is not None and not contiguous:
-            # Fast PIO: merge the setup and per-element-copy timeouts into
-            # one event at the bit-identical end time (sequential adds).
-            pio = self.params.pio_setup_s + elements * self.params.pio_per_element_s
-            yield self.sim.timeout_at((self.sim.now + setup) + pio)
-            cpu_s += setup
-            cpu_s += pio
-            done = fast_start(None, RECV_OVERHEAD_S, None)
+        try:
+            if fast_start is not None:
+                # A fast leg releases the DMA engine at wire end: the
+                # same instant the stepwise ``finally`` below would.
+                done = fast_start(
+                    cap, RECV_OVERHEAD_S,
+                    self._dma.release if contiguous else None,
+                )
             if done is None:
-                yield from network_call(None)
-            self.pio_elements += elements
-        elif contiguous:
-            yield self.sim.timeout(setup)
-            cpu_s += setup
-            # DMA path: program a descriptor, then the engine streams the
-            # user buffer to the driver buffer and onto the wire without
-            # the CPU.  The DMA rate caps the wire streaming rate.
-            # Fast path: a free engine is taken synchronously — same
-            # simulated instant, one kernel event fewer.
-            if fast_start is None or not self._dma.try_acquire():
-                yield self._dma.request()
-            try:
-                yield self.sim.timeout(self.params.dma_setup_s)
-                cpu_s += self.params.dma_setup_s
-                if fast_start is not None:
-                    # The fast leg releases the DMA engine at wire-end —
-                    # the same instant the stepwise ``finally`` would.
-                    done = fast_start(
-                        self.params.dma_rate_Bps, RECV_OVERHEAD_S,
-                        self._dma.release,
-                    )
-                if done is None:
-                    yield from network_call(self.params.dma_rate_Bps)
-            finally:
-                if done is None:
-                    self._dma.release()
+                yield from network_call(cap)
+        finally:
+            if contiguous and done is None:
+                self._dma.release()
+        if contiguous:
             self.dma_transfers += 1
         else:
-            # PIO path: the CPU itself copies element by element into the
-            # driver buffer; only then does the wire leg run.
-            yield self.sim.timeout(setup)
-            cpu_s += setup
-            pio = self.params.pio_setup_s + elements * self.params.pio_per_element_s
-            yield self.sim.timeout(pio)
-            cpu_s += pio
-            yield from network_call(None)
             self.pio_elements += elements
 
         if done is not None:

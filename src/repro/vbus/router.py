@@ -16,6 +16,7 @@ from __future__ import annotations
 from typing import Dict, Generator, Optional, Tuple
 
 from repro.sim import Resource, Simulator
+from repro.vbus import fastpath
 from repro.vbus.fastpath import try_promote
 from repro.vbus.flit import flit_count
 from repro.vbus.mesh import MeshTopology
@@ -89,7 +90,12 @@ class Channel:
 
 
 class WormholeMesh:
-    """The switched mesh network: channels + wormhole unicast."""
+    """The switched mesh network: channels + wormhole unicast, and the
+    fast path's leg entry points (:mod:`repro.vbus.fastpath`)."""
+
+    start_fast_leg = fastpath.start_fast_leg
+    start_leg = fastpath.start_leg
+    can_book = True
 
     def __init__(
         self,
@@ -218,6 +224,16 @@ class WormholeMesh:
             return self.sim.now - t0
         self.count_leg(src, dst, nbytes, len(path), t0)
         return self.sim.now - t0
+
+    def stats(self) -> Dict[str, float]:
+        """Wire and fast-path counters for :meth:`Cluster.stats`."""
+        out = {"mesh_messages": self.messages, "mesh_bytes": self.bytes}
+        for key in ("fast_legs", "fast_fallbacks", "fast_demotions",
+                    "fast_promotions", "fast_fallback_injector",
+                    "fast_fallback_frozen", "fast_fallback_peek",
+                    "fast_fallback_busy"):
+            out[key] = getattr(self, key)
+        return out
 
     def count_leg(
         self, src: int, dst: int, nbytes: int, hops: int, t0: float,

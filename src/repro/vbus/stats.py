@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from typing import List, Optional
 
 from repro.vbus.cluster import Cluster
+from repro.vbus.router import WormholeMesh
 
 __all__ = [
     "ChannelUsage",
@@ -41,11 +42,11 @@ class ChannelUsage:
 
 def network_usage(cluster: Cluster) -> List[ChannelUsage]:
     """Per-channel usage, sorted by busy time (hottest first)."""
-    if cluster.mesh is None:
+    if not isinstance(cluster.network, WormholeMesh):
         raise ValueError("usage analysis needs a mesh interconnect")
     now = cluster.sim.now
     out = []
-    for (u, v), ch in cluster.mesh.channels.items():
+    for (u, v), ch in cluster.network.channels.items():
         util = (ch.busy_s / now) if now > 0 else 0.0
         out.append(
             ChannelUsage(
@@ -112,7 +113,7 @@ def cluster_metrics_rows(cluster: Cluster) -> List[dict]:
                 "value": value,
             }
         )
-    if cluster.mesh is not None:
+    if isinstance(cluster.network, WormholeMesh):
         for c in network_usage(cluster):
             label = f"{c.src}->{c.dst}"
             rows.append(

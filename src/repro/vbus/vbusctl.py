@@ -15,7 +15,7 @@ streams the broadcast wave, and thaws.
 
 from __future__ import annotations
 
-from typing import Generator, Optional
+from typing import Dict, Generator, Optional
 
 from repro.sim import AnyOf, Event, Resource, SimulationError, Simulator
 from repro.vbus.flit import flit_count
@@ -136,6 +136,11 @@ class VBusController:
         #: Statistics.
         self.broadcast_count = 0
         self.broadcast_bytes = 0
+
+    def stats(self) -> Dict[str, float]:
+        """Broadcast counters for :meth:`Cluster.stats`."""
+        return {"hw_broadcasts": self.broadcast_count,
+                "hw_broadcast_bytes": self.broadcast_bytes}
 
     def broadcast(
         self, nbytes: int, rate_Bps: float, src: Optional[int] = None

@@ -40,7 +40,7 @@ def test_collectives_over_ethernet():
         assert results[r][0] == "x"
         assert results[r][1] == 6
     assert results[1][2] == [0, 1, 4, 9]
-    assert cl.ethernet.messages > 0
+    assert cl.network.messages > 0
 
 
 def test_barrier_heavy_sequence():

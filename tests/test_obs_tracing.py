@@ -67,7 +67,7 @@ def _run(params, scenario):
         },
         "channels": {
             key: (ch.messages, ch.busy_s)
-            for key, ch in cluster.mesh.channels.items()
+            for key, ch in cluster.network.channels.items()
         },
     }
     return snapshot, cluster

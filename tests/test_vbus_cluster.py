@@ -8,6 +8,7 @@ from repro.vbus import (
     VBUS_SKWP,
     build_cluster,
 )
+from repro.vbus.ethernet import EthernetNetwork
 from repro.vbus.nic import RECV_OVERHEAD_S
 from repro.vbus.params import ClusterParams, NicParams, cluster_for
 
@@ -34,7 +35,7 @@ def test_contiguous_transfer_uses_dma_and_charges_costs():
     r = run_transfer(cl, 0, 3, 8000, contiguous=True)
     nic = cl.params.nic
     # DMA caps streaming below the raw link rate.
-    rate = min(cl.link_rate_Bps, nic.dma_rate_Bps)
+    rate = min(cl.network.link_rate_Bps, nic.dma_rate_Bps)
     expected = (
         nic.per_message_overhead_s()
         + nic.dma_setup_s
@@ -104,14 +105,14 @@ def test_hw_broadcast_single_node_noop():
 
 def test_ethernet_cluster_transfer_and_broadcast():
     cl = build_cluster(4, params=cluster_for(4, ETHERNET_100))
-    assert cl.mesh is None and cl.ethernet is not None
+    assert isinstance(cl.network, EthernetNetwork)
     r = run_transfer(cl, 0, 1, 1500)
     p = cl.params.ethernet
     assert r.total_s > 2 * p.sw_latency_s
     proc = cl.sim.process(cl.hw_broadcast(2, 1000))
     rb = cl.sim.run(until=proc)
     assert rb.total_s > 0
-    assert cl.ethernet.messages == 2
+    assert cl.network.messages == 2
 
 
 def test_vbus_card_about_4x_lower_latency_than_ethernet():

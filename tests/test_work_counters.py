@@ -27,13 +27,14 @@ from worker import Inputs, counters_of, run_cell  # noqa: E402
 
 GOLDEN = Path(__file__).parent / "golden" / "work_counters.json"
 
-#: name -> cell.  ``timing`` cells compile and simulate (fast path on
-#: for V-Bus); ``tune`` cells run the uncached joint grain x partition
-#: search.
+#: name -> cell.  ``timing`` cells compile and simulate (fast path on,
+#: as the benchmark runs them); ``tune`` cells run the uncached joint
+#: grain x partition search.
 CELLS = {
     "mm64_vbus_16": Cell("MM-64", "vbus", 16, "timing"),
     "mm64_gige_16": Cell("MM-64", "gige", 16, "timing"),
     "swim32_vbus_4": Cell("SWIM-32", "vbus", 4, "timing"),
+    "swim32_gige_4": Cell("SWIM-32", "gige", 4, "timing"),
     "tune_pxover32_vbus_4": Cell("PXOVER-32", "vbus", 4, "tune"),
     "tune_mm32_gige_4": Cell("MM-32", "gige", 4, "tune"),
 }
