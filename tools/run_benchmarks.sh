@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Fast lane, slow lane, docs check, then the host-time benchmark.
+# Fast lane, slow lane, docs check, the benchmark's self-tests, then the
+# host-time benchmark.
 #
 # Usage: tools/run_benchmarks.sh [--quick] [-o OUT.json]
 #   Arguments pass straight to `python -m benchmarks.perf` (see
@@ -18,6 +19,9 @@ python -m pytest -x -q -m slow
 echo
 echo "== docs check (links, repo paths, lints, README/docs examples) =="
 tools/check_docs.sh -m "not slow"
+echo
+echo "== benchmark self-tests (verdict cases, layer map) =="
+python -m pytest benchmarks/perf -q
 echo
 echo "== host-time benchmark (five workloads, per-layer table) =="
 python -m benchmarks.perf "$@"
