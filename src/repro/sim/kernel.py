@@ -38,6 +38,10 @@ the primitives its bit-identity proof needs:
 * :meth:`Simulator.fire` triggers an event and runs its callbacks inside
   the current step, so a callback chain can resume a waiting process
   where that process would itself have continued.
+* :meth:`Simulator.urgent` runs a callback where a fresh URGENT entry at
+  ``now`` would run, without the entry when no URGENT entry at ``now``
+  is queued ahead of it: a callback leg starts where the process it
+  replaces would have started.
 
 Changing tie-breaking (the ``(time, priority, seq)`` heap key), timestamp
 arithmetic, or cancellation semantics invalidates that proof — the
@@ -448,6 +452,8 @@ class Simulator:
         self._seq = 0
         self._active_process: Optional[Process] = None
         self._tpool: List[Timeout] = []
+        #: Calls standing in for URGENT entries at ``now`` (:meth:`urgent`).
+        self._later: List[Callable[[], None]] = []
         #: Optional :class:`repro.obs.tracer.Tracer`; ``None`` = tracing off.
         #: Instrumented layers guard every hook with ``if tracer is not
         #: None`` — the tracer observes, it never schedules.
@@ -506,6 +512,34 @@ class Simulator:
                 cb(event)
         if not ok and not event._defused:
             raise value
+
+    def urgent(self, callback: Callable[[], None]) -> None:
+        """Run ``callback`` where a new URGENT entry at ``now`` would run.
+
+        Such an entry pops after every URGENT entry at ``now`` queued
+        before it and before every other entry.  When none of the former
+        is queued, it is simply the next entry: the run loop calls
+        ``callback`` between two steps, in the order of the calls, and no
+        entry is made (``sim.events`` does not count it).  Otherwise the
+        entry is scheduled for real.  Either way every other entry runs
+        in the same order.  :meth:`peek` sees a pending call as an entry
+        at ``now``.
+        """
+        q = self._queue
+        if q and q[0][1] == URGENT and q[0][0] == self._now:
+            ev = Event(self)
+            ev._value = None
+            ev._cb1 = lambda _ev: callback()
+            self._schedule(ev, priority=URGENT)
+        else:
+            self._later.append(callback)
+
+    def _run_later(self) -> None:
+        """Run the pending :meth:`urgent` calls, oldest first (a call may
+        add more)."""
+        later = self._later
+        while later:
+            later.pop(0)()
 
     def process(self, generator: Generator, name: str = "") -> Process:
         return Process(self, generator, name=name)
@@ -646,10 +680,14 @@ class Simulator:
                 raise SimulationError("until lies in the past")
 
         queue = self._queue
+        later = self._later
         step = self._step
-        while queue:
+        while queue or later:
             if stop_event is not None and stop_event._processed:
                 break
+            if later:
+                self._run_later()
+                continue
             if stop_time is not None and queue[0][0] > stop_time:
                 self._now = stop_time
                 return None
@@ -671,6 +709,8 @@ class Simulator:
         """Time of the next live scheduled event, or +inf when drained.
 
         Cancelled entries are discarded (and recycled) on the way."""
+        if self._later:
+            return self._now
         q = self._queue
         while q and q[0][3]._cancelled:
             _, _, _, ev = heapq.heappop(q)

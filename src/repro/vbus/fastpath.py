@@ -37,10 +37,12 @@ Exactness argument (the equivalence suite in
   ``mesh.fast_promotions``; claim-time misses are broken down by cause
   in ``mesh.fast_fallback_{injector,frozen,peek,busy}``.
 * These functions are the mesh's leg entry points:
-  :class:`~repro.vbus.router.WormholeMesh` has :func:`start_fast_leg`
-  and :func:`start_leg` as methods, which ``Nic.transfer`` and the put
-  streams call on whatever network the cluster holds (Ethernet answers
-  ``None``: run the stepwise leg).
+  :class:`~repro.vbus.router.WormholeMesh` has :func:`start_fast_leg`,
+  :func:`start_leg`, :func:`plan_leg`, :func:`book_leg` and
+  :func:`claim_leg` as methods, which ``Nic.transfer`` and the put
+  streams call on whatever network the cluster holds
+  (:class:`~repro.vbus.ethernet.EthernetNetwork` answers the same
+  methods with its own callback legs).
 * A contended one-sided leg (:func:`start_leg`, used by the put
   streams of ``Cluster.rma_legs``) advances as a :class:`_QueuedLeg`: kernel
   callbacks, not a generator process, but the *same events* — same
@@ -70,23 +72,24 @@ Exactness argument (the equivalence suite in
   no callback can attach later, and dropping a no-op entry leaves every
   acting entry in the same order.  (The peek guard above stops seeing
   such entries; it stays sound, since they cannot act.)
-* **Booked legs** (:func:`book_leg`, driven by the RMA put streams in
-  :mod:`repro.vbus.cluster`).  At the moment a stream's leg reaches the
-  wire, let ``F = sim.peek()`` be the event horizon.  When the leg passes
-  the claim-time proof and its release and tail, and every phase of the
-  stream's next leg up to that leg's own wire time, end strictly before
-  ``F`` (and the next leg passes the proof then), nothing else can run
-  meanwhile: no entry pops before ``F``, a held channel stays held until
-  an entry at or after ``F`` releases it, only the stream's rank uses
-  its DMA engine, and a freeze can only start in a popped entry.  The
-  leg is then charged in closed form — per-channel ``busy_s`` and
-  ``messages`` (last hop first), :meth:`count_leg` and ``fast_legs``,
-  with the same float sums and explicit trace end times — and neither
-  claimed nor scheduled.  The last leg the stream cannot follow this
-  way is claimed for real (:func:`claim_leg`, possibly at a time ahead
-  of ``sim.now``).  The collect hotspot is not booked: there the next
-  channel is busy (real wormhole contention), which needs a per-channel
-  FIFO model rather than a horizon.
+* **Booked legs** (:func:`plan_leg`, :func:`book_leg`, driven by the RMA
+  put streams in :mod:`repro.vbus.cluster`).  At the moment a stream's
+  leg reaches the wire, let ``F = sim.peek()`` be the event horizon.
+  When the leg passes the claim-time proof (its :class:`LegPlan`) and
+  its release and tail, and every phase of the stream's next leg up to
+  that leg's own wire time, end strictly before ``F`` (and the next leg
+  passes the proof then), nothing else can run meanwhile: no entry pops
+  before ``F``, a held channel stays held until an entry at or after
+  ``F`` releases it, only the stream's rank uses its DMA engine, and a
+  freeze can only start in a popped entry.  The leg is then charged in
+  closed form — per-channel ``busy_s`` and ``messages`` (last hop
+  first), :meth:`count_leg` and ``fast_legs``, with the same float sums
+  and explicit trace end times — and neither claimed nor scheduled.  The
+  last leg the stream cannot follow this way is claimed for real
+  (:func:`claim_leg`, possibly at a time ahead of ``sim.now``).  The
+  collect hotspot is not booked: there the next channel is busy (real
+  wormhole contention), which needs a per-channel FIFO model rather
+  than a horizon.
 
 Per-channel ``busy_s``/``messages`` counters stay exact because a claim
 backdates each channel's ``_acquired_at`` to the hop time the stepwise
@@ -109,9 +112,30 @@ from typing import Callable, List, Optional
 from repro.sim.kernel import URGENT, Event
 
 __all__ = [
-    "book_leg", "claim_leg", "claim_miss", "leg_times", "start_fast_leg",
-    "start_leg", "try_promote",
+    "LegPlan", "book_leg", "claim_leg", "claim_miss", "leg_times",
+    "plan_leg", "start_fast_leg", "start_leg", "try_promote",
 ]
+
+
+class LegPlan:
+    """A put stream's leg proved claimable at ``t`` (a network's
+    ``plan_leg``): ``t_end`` is when its receive tail ends, by the
+    stepwise float sums, and ``route`` is the network's own detail (the
+    mesh: its channels and :func:`leg_times`)."""
+
+    __slots__ = ("src", "dst", "nbytes", "rate_cap_Bps", "tail_s", "t",
+                 "t_end", "route")
+
+    def __init__(self, src, dst, nbytes, rate_cap_Bps, tail_s, t, t_end,
+                 route=None):
+        self.src = src
+        self.dst = dst
+        self.nbytes = nbytes
+        self.rate_cap_Bps = rate_cap_Bps
+        self.tail_s = tail_s
+        self.t = t
+        self.t_end = t_end
+        self.route = route
 
 
 class _FastLeg:
@@ -446,19 +470,17 @@ def claim_miss(mesh, channels, t: float,
     return None
 
 
-def claim_leg(mesh, channels, t: float, nbytes: int,
-              rate_cap_Bps: Optional[float], tail_s: float,
-              at_release=None, at_tail=None, done=None) -> _FastLeg:
-    """Claim ``channels`` for an analytic leg injected at ``t``.
+def _claim(mesh, channels, times, nbytes: int, tail_s: float,
+           at_release=None, at_tail=None, done=None) -> _FastLeg:
+    """Claim ``channels`` for an analytic leg with :func:`leg_times`
+    ``times``.
 
-    ``t`` may lie ahead of ``sim.now`` when a put stream books ahead of
-    the event horizon: each channel is backdated (forward-dated) to its
-    stepwise hop time either way, and the leg's two events are
-    scheduled at absolute times.
+    Its injection time may lie ahead of ``sim.now`` when a put stream
+    books ahead of the event horizon: each channel is backdated
+    (forward-dated) to its stepwise hop time either way, and the leg's
+    two events are scheduled at absolute times.
     """
-    hop_starts, body_start, body_s = leg_times(
-        mesh, len(channels), t, nbytes, rate_cap_Bps
-    )
+    hop_starts, body_start, body_s = times
     for ch, hop_t in zip(channels, hop_starts):
         ch.claim(hop_t)
     mesh.fast_legs += 1
@@ -468,19 +490,42 @@ def claim_leg(mesh, channels, t: float, nbytes: int,
     )
 
 
-def book_leg(mesh, channels, hop_starts, t_rel: float, nbytes: int) -> None:
-    """Charge a whole analytic leg that ends before the event horizon.
+def plan_leg(mesh, src: int, dst: int, nbytes: int,
+             rate_cap_Bps: Optional[float], tail_s: float, t: float,
+             horizon: float) -> Optional[LegPlan]:
+    """A put stream's leg injected at ``t``, planned when it passes the
+    claim-time proof (:func:`claim_miss`) against ``horizon``."""
+    channels = mesh.channel_path(src, dst)
+    if claim_miss(mesh, channels, t, horizon) is not None:
+        return None
+    times = leg_times(mesh, len(channels), t, nbytes, rate_cap_Bps)
+    t_rel = times[1] + times[2]
+    return LegPlan(src, dst, nbytes, rate_cap_Bps, tail_s, t,
+                   t_rel + tail_s, (channels, times))
+
+
+def claim_leg(mesh, plan: LegPlan, at_tail, done: Event) -> None:
+    """Claim a planned leg as an analytic leg completing ``done``."""
+    channels, times = plan.route
+    _claim(mesh, channels, times, plan.nbytes, plan.tail_s,
+           at_tail=at_tail, done=done)
+
+
+def book_leg(mesh, plan: LegPlan) -> None:
+    """Charge a whole planned leg that ends before the event horizon.
 
     Nothing is claimed or scheduled: no other entry can run before the
     leg's release, so only its accounting is visible.  That accounting
     is the claimed leg's, in its order: each channel's message and
     ``busy_s`` (released last hop first), then :meth:`count_leg`.
     """
+    channels, (hop_starts, body_start, body_s) = plan.route
+    t_rel = body_start + body_s
     for ch, hop_t in zip(reversed(channels), reversed(hop_starts)):
         ch.book(hop_t, t_rel)
     mesh.count_leg(
-        channels[0].u, channels[-1].v, nbytes, len(channels), hop_starts[0],
-        t1=t_rel,
+        channels[0].u, channels[-1].v, plan.nbytes, len(channels),
+        hop_starts[0], t1=t_rel,
     )
     mesh.fast_legs += 1
 
@@ -519,8 +564,9 @@ def start_fast_leg(
         mesh.fast_fallbacks += 1
         setattr(mesh, miss, getattr(mesh, miss) + 1)
         return None
-    return claim_leg(
-        mesh, channels, now, nbytes, rate_cap_Bps, tail_s,
+    times = leg_times(mesh, len(channels), now, nbytes, rate_cap_Bps)
+    return _claim(
+        mesh, channels, times, nbytes, tail_s,
         at_release=at_release, at_tail=at_tail,
     ).done
 

@@ -15,8 +15,9 @@ Cost structure charged per message:
   ``pio_per_element_s`` per element *of CPU time*.
 * the receiving daemon pays a dequeue cost (``recv_overhead_s``).
 
-Sends (:meth:`Nic.transfer`) and one-sided legs (``Cluster._rma_leg``)
-run the same blocking phase, :meth:`Nic.inject`, on every network.
+Sends and broadcasts (:meth:`Nic.transfer`) and one-sided legs
+(``Cluster._rma_leg``) run the same blocking phase, :meth:`Nic.inject`,
+on every network.
 
 :meth:`Nic.transfer` returns a :class:`TransferReceipt` so callers (the
 MPI-2 library and the run reports) can split *CPU-occupied* time from
@@ -120,16 +121,18 @@ class Nic:
         *,
         elements: Optional[int] = None,
         contiguous: bool = True,
+        fast: bool = False,
         fast_start=None,
     ) -> Generator:
         """Inject one message; ``network_call(rate_cap)`` produces the wire leg.
 
         ``network_call`` is a callable returning a generator that delivers
         ``nbytes`` through the interconnect, honoring an optional source-side
-        rate cap.  ``fast_start(rate_cap, tail_s, at_release)``, when given,
-        selects the fast path's injection rules (:meth:`inject`) and may
-        charge the wire leg + receive tail analytically (see
-        :mod:`repro.vbus.fastpath`), returning a completion event — or
+        rate cap.  ``fast`` selects the fast path's injection rules
+        (:meth:`inject`).  ``fast_start(rate_cap, tail_s, at_release)``,
+        when given (with ``fast``), may run the wire leg + receive tail
+        without a generator (see :mod:`repro.vbus.fastpath` and
+        :mod:`repro.vbus.ethernet`), returning a completion event — or
         ``None``, in which case the stepwise ``network_call`` runs.
         Returns a :class:`TransferReceipt`.
         """
@@ -142,15 +145,14 @@ class Nic:
             inj.on_inject(self.rank)
         t0 = self.sim.now
         cpu_s = yield from self.inject(
-            elements, contiguous, fast_start is not None,
-            release_on_abort=True,
+            elements, contiguous, fast, release_on_abort=True
         )
         cap = self.params.dma_rate_Bps if contiguous else None
         done = None
         try:
             if fast_start is not None:
-                # A fast leg releases the DMA engine at wire end: the
-                # same instant the stepwise ``finally`` below would.
+                # A fast leg releases the DMA engine where the stepwise
+                # ``finally`` below would: when the wire leg ends.
                 done = fast_start(
                     cap, RECV_OVERHEAD_S,
                     self._dma.release if contiguous else None,

@@ -628,3 +628,61 @@ def test_reclaim_processed_event_rejected():
     sim.run()
     with pytest.raises(SimulationError):
         sim.reclaim(t)
+
+
+def _real_urgent(sim, callback):
+    """The reference ``urgent``: always a real URGENT entry at ``now``."""
+    from repro.sim.kernel import URGENT
+
+    ev = sim.event()
+    ev._value = None
+    ev._cb1 = lambda _ev: callback()
+    sim._schedule(ev, priority=URGENT)
+
+
+def _urgent_scenario(sim, urgent):
+    """Callbacks deferred around process starts and same-instant timers;
+    returns the log of who ran when."""
+    log = []
+
+    def note(name):
+        def run():
+            log.append((name, sim.now))
+            if name == "a":  # a deferred call makes another one
+                urgent(note("a2"))
+        return run
+
+    def child(name):
+        log.append((name, sim.now))
+        yield sim.timeout(1.0)
+        log.append((name + "-end", sim.now))
+
+    def parent():
+        yield sim.timeout(1.0)
+        urgent(note("a"))
+        sim.process(child("p"))
+        urgent(note("b"))  # queued behind p's URGENT start: a real entry
+        sim.timeout(1.0)._add_cb(lambda _ev: log.append(("t", sim.now)))
+        yield sim.timeout(0.5)
+        urgent(note("c"))
+        urgent(note("d"))
+        log.append(("peek", sim.peek()))
+
+    urgent(note("first"))  # outside any step: runs when the run starts
+    sim.process(parent())
+    sim.run()
+    return log
+
+
+def test_urgent_runs_where_an_urgent_entry_would():
+    sim = Simulator()
+    log = _urgent_scenario(sim, sim.urgent)
+    ref_sim = Simulator()
+    ref = _urgent_scenario(ref_sim, lambda cb: _real_urgent(ref_sim, cb))
+    assert log == ref
+    assert ("peek", 1.5) in log
+    # Four of the six calls needed no heap entry: "b" and "a2" did, each
+    # behind p's URGENT start.
+    events = sim._seq - len(sim._queue)
+    ref_events = ref_sim._seq - len(ref_sim._queue)
+    assert events == ref_events - 4

@@ -33,6 +33,7 @@ GOLDEN = Path(__file__).parent / "golden" / "work_counters.json"
 CELLS = {
     "mm64_vbus_16": Cell("MM-64", "vbus", 16, "timing"),
     "mm64_gige_16": Cell("MM-64", "gige", 16, "timing"),
+    "mm64_ethernet100_16": Cell("MM-64", "ethernet100", 16, "timing"),
     "swim32_vbus_4": Cell("SWIM-32", "vbus", 4, "timing"),
     "swim32_gige_4": Cell("SWIM-32", "gige", 4, "timing"),
     "tune_pxover32_vbus_4": Cell("PXOVER-32", "vbus", 4, "tune"),
