@@ -8,10 +8,13 @@ No tolerances: the fast path reproduces the oracle's floating-point
 arithmetic operation by operation.
 """
 
+import hashlib
 import json
 import math
+import re
 from dataclasses import replace
 from functools import partial
+from pathlib import Path
 
 import pytest
 
@@ -23,7 +26,7 @@ from repro.vbus.cluster import Cluster
 from repro.vbus.ethernet import EthernetNetwork
 from repro.vbus.nic import RECV_OVERHEAD_S
 from repro.vbus.params import VBUS_SKWP, backend_params
-from repro.vbus.router import WormholeMesh
+from repro.vbus.router import Channel, WormholeMesh
 
 #: Keys that only exist (or only count) on the fast path.
 def _is_fast_key(key):
@@ -58,9 +61,16 @@ def _snapshot(cluster, records, fast_keys=False):
 def _run(params, scenario, sim=None, fast_keys=False):
     """Run ``scenario(cluster, records)`` -> list of (name, generator);
     ``fast_keys`` keeps the fast-path counters in the snapshot."""
+    records = []
+    cluster = _run_cluster(params, scenario, sim, records)
+    return _snapshot(cluster, records, fast_keys)
+
+
+def _run_cluster(params, scenario, sim=None, records=None):
+    """Run ``scenario`` on a new cluster; returns the cluster."""
     sim = sim or Simulator()
     cluster = Cluster(sim, params)
-    records = []
+    records = [] if records is None else records
 
     def wrap(name, gen):
         def body():
@@ -76,7 +86,7 @@ def _run(params, scenario, sim=None, fast_keys=False):
     for name, gen in scenario(cluster, records):
         sim.process(wrap(name, gen), name=name)
     sim.run()
-    return _snapshot(cluster, records, fast_keys)
+    return cluster
 
 
 def assert_equivalent(rows, cols, scenario, trace=False):
@@ -518,12 +528,14 @@ def _legs(puts, completions):
 
 
 def _collect_scenario(contiguous, bcast_at=None, freeze=None, stream=False,
-                      bcast_src=0):
+                      bcast_src=0, send=False):
     """Ranks 1..15 of a 4x4 mesh each put twice to rank 0 at once (the
     master/slave collect hotspot).  Optionally rank ``bcast_src`` starts
     a hardware broadcast at ``bcast_at``, or the domain freezes directly
     for ``freeze = (at, seconds)``.  ``stream``: each origin issues its
-    puts as one ``rma_legs`` call, not one ``rma_start`` per put."""
+    puts as one ``rma_legs`` call, not one ``rma_start`` per put.
+    ``send``: each rank sends (``Cluster.transfer``) instead of putting,
+    the send hotspot."""
 
     def scenario(cluster, records):
         sim = cluster.sim
@@ -544,7 +556,18 @@ def _collect_scenario(contiguous, bcast_at=None, freeze=None, stream=False,
                 yield AllOf(sim, live)
             return sim.now
 
-        jobs = [(f"put{r}", origin(r)) for r in range(1, cluster.nprocs)]
+        def sender(rank):
+            for _ in range(COLLECT_PUTS):
+                yield from cluster.transfer(
+                    rank, 0, COLLECT_BYTES, elements=COLLECT_BYTES // 8,
+                    contiguous=contiguous,
+                )
+            return sim.now
+
+        if send:
+            jobs = [(f"send{r}", sender(r)) for r in range(1, cluster.nprocs)]
+        else:
+            jobs = [(f"put{r}", origin(r)) for r in range(1, cluster.nprocs)]
         if bcast_at is not None:
 
             def bcast():
@@ -586,7 +609,8 @@ def _bcast_start_for_freeze_at(t_freeze):
 
 
 def _first_put_injection(contiguous):
-    """When every origin's first put reaches the wire (all start at 0)."""
+    """When every origin's first put (or send) reaches the wire (all
+    start at 0)."""
     nic = VBUS_SKWP.nic
     setup = nic.setup_shared_queue_s
     if contiguous:
@@ -595,61 +619,53 @@ def _first_put_injection(contiguous):
     return (0.0 + setup) + pio
 
 
-def _queued_grants(scenario, monkeypatch):
-    """Channel-grant times of queued legs in a fast run of ``scenario``."""
+def _grants(scenario):
+    """Hop-by-hop channel-grant times in a fast run of ``scenario``
+    (analytic legs claim their channels instead)."""
     grants = []
-    on_grant = fastpath._QueuedLeg._on_grant
+    on_acquired = Channel.on_acquired
 
-    def spy(leg, ev):
-        grants.append(leg.sim.now)
-        on_grant(leg, ev)
+    def spy(ch):
+        grants.append(ch.sim.now)
+        on_acquired(ch)
 
-    with monkeypatch.context() as m:
-        m.setattr(fastpath._QueuedLeg, "_on_grant", spy)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(Channel, "on_acquired", spy)
         _run(_params(4, 4, True), scenario)
     return grants
 
 
-def _hotspot(contiguous, where, monkeypatch, stream=False):
-    """The collect hotspot with a freeze landing ``where``:
+def _hotspot(contiguous, where, stream=False, send=False):
+    """The collect (or ``send``) hotspot with a freeze landing ``where``:
 
     * ``queue`` — a broadcast while legs wait in a channel queue (10 us
-      after the first puts inject, one leg streams and the rest queue);
+      after the first legs inject, one leg streams and the rest queue);
     * ``head`` — a broadcast inside a queued leg's head hop;
-    * ``inject`` — a broadcast at the first puts' injection instant (the
-      second puts then inject into the frozen domain);
+    * ``inject`` — a broadcast at the first legs' injection instant (the
+      second legs then inject into the frozen domain);
     * ``short`` — a direct freeze inside a queued head hop that thaws
       before the hop's timer would have fired.
     """
+    hotspot = partial(_collect_scenario, contiguous, stream=stream, send=send)
     if where == "none":
-        return _collect_scenario(contiguous, stream=stream)
+        return hotspot()
     t_inject = _first_put_injection(contiguous)
     if where == "queue":
-        return _collect_scenario(
-            contiguous, _bcast_start_for_freeze_at(t_inject + 10e-6),
-            stream=stream,
-        )
+        return hotspot(_bcast_start_for_freeze_at(t_inject + 10e-6))
     if where == "inject":
-        return _collect_scenario(
-            contiguous, _bcast_start_for_freeze_at(t_inject), stream=stream
-        )
+        return hotspot(_bcast_start_for_freeze_at(t_inject))
     rd = VBUS_SKWP.link.router_delay_s
-    grant = _queued_grants(_collect_scenario(contiguous), monkeypatch)[4]
+    grant = _grants(_collect_scenario(contiguous, send=send))[4]
     if where == "head":
-        return _collect_scenario(
-            contiguous, _bcast_start_for_freeze_at(grant + rd / 2),
-            stream=stream,
-        )
+        return hotspot(_bcast_start_for_freeze_at(grant + rd / 2))
     assert where == "short"
-    return _collect_scenario(
-        contiguous, freeze=(grant + rd / 2, rd / 4), stream=stream
-    )
+    return hotspot(freeze=(grant + rd / 2, rd / 4))
 
 
 @pytest.mark.parametrize("where", FREEZES)
 @pytest.mark.parametrize("contiguous", [True, False])
 def test_collect_hotspot_queued_legs(contiguous, where, monkeypatch):
-    scenario = _hotspot(contiguous, where, monkeypatch)
+    scenario = _hotspot(contiguous, where)
     freeze_wakes = []
     on_wake = fastpath._QueuedLeg._on_wake
 
@@ -662,6 +678,15 @@ def test_collect_hotspot_queued_legs(contiguous, where, monkeypatch):
     assert_equivalent(4, 4, scenario)
     if where in ("head", "short"):
         assert freeze_wakes  # the freeze did cut a queued leg's head hop
+
+
+@pytest.mark.parametrize("where", FREEZES)
+@pytest.mark.parametrize("contiguous", [True, False])
+def test_send_hotspot_matches_stepwise(contiguous, where):
+    """Fifteen ranks send to rank 0 at once, with each freeze placement:
+    end times, receipts, counters and channel use equal the stepwise
+    oracle's."""
+    assert_equivalent(4, 4, _hotspot(contiguous, where, send=True))
 
 
 def _wakes(event):
@@ -677,18 +702,81 @@ def _wakes(event):
     return getattr(cb, "__qualname__", None)
 
 
-class _LoggingSimulator(Simulator):
-    """A simulator recording each heap entry it pops: (time, priority,
-    seq, what the event wakes)."""
+def _rank_of(name):
+    """``r<k>`` for a job or ``rma-wire`` process acting for rank ``k``
+    (``put<k>``, ``send<k>``, ``rma-wire[<k>->...]``), else ``name``."""
+    m = re.match(r"(?:put|send|rma-wire\[)(\d+)", name)
+    return f"r{m.group(1)}" if m else name
+
+
+class _RankLabels:
+    """Who a popped event wakes, as the rank it acts for.
+
+    A wire step reads the same whether it runs in the sending rank's
+    process, an ``rma-wire`` process or a leg callback: the rank whose
+    data it carries (a leg's source).  Named jobs (``bcast``,
+    ``freezer``, ``fastleg-demoted``) keep their names, other callbacks
+    their qualified names.  An ``AnyOf`` reads as the process it wakes,
+    remembered from its first entry: once it fired, a late timer's
+    no-op check still names that process.
+    """
 
     def __init__(self):
+        self.anyof = {}
+
+    def __call__(self, event):
+        cbs = [event._cb1] if event._cb1 is not None else []
+        cbs += event._cbs or []
+        labels = [self.of(cb) for cb in cbs]
+        return labels[0] if labels else None
+
+    def of(self, cb):
+        if isinstance(cb, partial):
+            cb = cb.args[0]  # a leg start made a real entry (_Stage1Simulator)
+        owner = getattr(cb, "__self__", None)
+        if isinstance(owner, AnyOf):
+            if owner._cb1 is not None:
+                self.anyof[owner] = self.of(owner._cb1)
+            return self.anyof[owner]
+        if isinstance(owner, Process):
+            return _rank_of(owner.name)
+        if isinstance(owner, fastpath._QueuedLeg):
+            return f"r{owner.path[0].u}"
+        if isinstance(owner, fastpath._FastLeg):
+            return f"r{owner.channels[0].u}"
+        if isinstance(owner, cluster_mod._RmaStream):
+            return f"r{owner.origin}"
+        return cb.__qualname__
+
+
+class _LoggingSimulator(Simulator):
+    """A simulator recording each heap entry it pops: (time, priority,
+    seq, ``label(event)``, by default what the event wakes)."""
+
+    def __init__(self, label=_wakes):
         super().__init__()
+        self.label = label
         self.popped = []
 
     def _step(self):
         when, prio, seq, event = self._queue[0]
-        self.popped.append((when, prio, seq, _wakes(event)))
+        self.popped.append((when, prio, seq, self.label(event)))
         super()._step()
+
+
+def _run_start(callback, _ev):
+    callback()
+
+
+class _Stage1Simulator(_LoggingSimulator):
+    """A logging simulator on which every ``urgent`` call schedules its
+    URGENT entry for real, as a process start does."""
+
+    def urgent(self, callback):
+        start = Event(self)
+        start._value = None
+        start._cb1 = partial(_run_start, callback)
+        self._schedule(start, priority=URGENT)
 
 
 def _acting(popped):
@@ -701,22 +789,71 @@ def _acting(popped):
     return [(when, prio, rank[seq], what) for when, prio, seq, what in acting]
 
 
+#: The pop-log golden: per hotspot cell ``<kind>-<dma|pio>-<where>``,
+#: the number and sha256 of its acting entries ``(time, priority, rank,
+#: label)`` under :class:`_RankLabels` on a :class:`_Stage1Simulator`,
+#: and its fast-path counters.  Recorded from the stepwise wire legs
+#: (promoting ``rma-wire`` processes and sends' ``unicast`` inside the
+#: rank) with ``python tests/make_poplog_goldens.py``.
+POP_GOLDEN = Path(__file__).parent / "golden" / "pop_logs.json"
+POP_CELLS = {
+    f"{kind}-{'dma' if contiguous else 'pio'}-{where}": (
+        kind, contiguous, where
+    )
+    for kind in ("collect", "send")
+    for contiguous in (True, False)
+    for where in FREEZES
+}
+
+
+def pop_log(name):
+    """One pop-log golden cell, measured."""
+    kind, contiguous, where = POP_CELLS[name]
+    sim = _Stage1Simulator(_RankLabels())
+    cluster = _run_cluster(
+        _params(4, 4, True), _hotspot(contiguous, where, send=kind == "send"),
+        sim,
+    )
+    acting = _acting(sim.popped)
+    blob = json.dumps(acting).encode()
+    stats = cluster.stats()
+    return {
+        "entries": len(acting),
+        "sha256": hashlib.sha256(blob).hexdigest(),
+        "fast": {k: v for k, v in sorted(stats.items()) if _is_fast_key(k)},
+    }
+
+
+def _pop_golden(kind, contiguous, where):
+    name = f"{kind}-{'dma' if contiguous else 'pio'}-{where}"
+    return name, json.loads(POP_GOLDEN.read_text())[name]
+
+
+def test_pop_golden_covers_every_cell():
+    assert sorted(json.loads(POP_GOLDEN.read_text())) == sorted(POP_CELLS)
+
+
 @pytest.mark.parametrize("where", FREEZES)
 @pytest.mark.parametrize("contiguous", [True, False])
 def test_queued_legs_pop_the_rma_wire_events(contiguous, where, monkeypatch):
-    """Queued legs schedule exactly the kernel events of the ``rma-wire``
-    processes they replace: same times, priorities and order of every
-    entry that acts."""
-    scenario = _hotspot(contiguous, where, monkeypatch)
-    runs = []
+    """Queued legs pop exactly the acting entries of the promoting
+    ``rma-wire`` processes they replace (the golden): same times,
+    priorities, order and ranks, and the same fast-path counters."""
+    name, golden = _pop_golden("collect", contiguous, where)
     # start_fast_leg returns None on a miss, so the put stream then falls
     # back to an rma-wire process; start_leg queues the leg instead.
     for start in (fastpath.start_fast_leg, fastpath.start_leg):
         monkeypatch.setattr(WormholeMesh, "start_leg", start)
-        sim = _LoggingSimulator()
-        snapshot = _run(_params(4, 4, True), scenario, sim)
-        runs.append((snapshot, _acting(sim.popped)))
-    assert runs[1] == runs[0]
+        assert pop_log(name) == golden
+
+
+@pytest.mark.parametrize("where", FREEZES)
+@pytest.mark.parametrize("contiguous", [True, False])
+def test_queued_send_legs_pop_the_unicast_events(contiguous, where):
+    """Sends that miss the claim pop exactly the acting entries of the
+    promoting ``unicast`` run inside the sending rank (the golden)."""
+    name, golden = _pop_golden("send", contiguous, where)
+    assert pop_log(name) == golden
 
 
 def _rma_processes(params, contiguous):
@@ -815,7 +952,7 @@ def test_put_streams_pop_the_generator_put_loop_events(
 ):
     """With booking off, a put stream pops exactly the entries of the
     generator put loop: same times, priorities and relative order."""
-    scenario = _hotspot(contiguous, where, monkeypatch, stream=True)
+    scenario = _hotspot(contiguous, where, stream=True)
     monkeypatch.setattr(
         cluster_mod._RmaStream, "_next_plan", lambda *a: None
     )
@@ -1007,21 +1144,6 @@ def assert_equivalent_ethernet(backend, scenario, trace=True):
     slow = _run(_ethernet(backend, False, trace), scenario)
     fast = _run(_ethernet(backend, True, trace), scenario)
     assert fast == slow
-
-
-def _run_start(callback, _ev):
-    callback()
-
-
-class _Stage1Simulator(_LoggingSimulator):
-    """A logging simulator on which every ``urgent`` call schedules its
-    URGENT entry for real, as a process start does."""
-
-    def urgent(self, callback):
-        start = Event(self)
-        start._value = None
-        start._cb1 = partial(_run_start, callback)
-        self._schedule(start, priority=URGENT)
 
 
 def _request_port(leg, port, then):
