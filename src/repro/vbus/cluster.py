@@ -328,9 +328,6 @@ class Cluster:
             self.network = WormholeMesh(
                 sim, self.topology, params.link, self.domain
             )
-            # Batched accounting on: the stepwise unicast may re-prove a
-            # fallen-back leg safe mid-route and promote it (fastpath).
-            self.network.fast_path = params.fast_path
             setup = (
                 max(1, self.topology.diameter) * params.link.router_delay_s + 1e-6
             )
@@ -395,7 +392,7 @@ class Cluster:
         fast = self.params.fast_path
         fast_start = None
         if fast:
-            fast_start = partial(network.start_fast_leg, src, dst, nbytes)
+            fast_start = partial(network.start_send_leg, src, dst, nbytes)
         receipt = yield from self.nics[src].transfer(
             partial(network.unicast, src, dst, nbytes), nbytes,
             elements=elements, contiguous=contiguous, fast=fast,

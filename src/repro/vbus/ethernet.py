@@ -18,7 +18,7 @@ is the "modeled switched GigE" leg of the three-backend crossover sweep
 
 It answers the mesh's network interface (:mod:`repro.vbus.cluster`).
 With the fast path on and no active fault plan, a send's leg
-(:meth:`EthernetNetwork.start_fast_leg`) and a one-sided leg
+(:meth:`EthernetNetwork.start_send_leg`) and a one-sided leg
 (:meth:`EthernetNetwork.start_leg`) run as a :class:`_Leg`: kernel
 callbacks instead of a generator.  It pops the stepwise leg's entries —
 sender stack timer, uplink (or medium) grant, wire timer, switch timer,
@@ -184,7 +184,7 @@ class EthernetNetwork:
         inj = self.injector
         return inj is not None and inj.active
 
-    def start_fast_leg(
+    def start_send_leg(
         self, src: int, dst: int, nbytes: int,
         rate_cap_Bps: Optional[float], tail_s: float,
         at_release: Optional[Callable[[], None]] = None,

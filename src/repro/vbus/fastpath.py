@@ -113,7 +113,7 @@ from repro.sim.kernel import URGENT, Event
 
 __all__ = [
     "LegPlan", "book_leg", "claim_leg", "claim_miss", "leg_times",
-    "plan_leg", "start_fast_leg", "start_leg", "try_promote",
+    "plan_leg", "start_leg", "start_send_leg", "try_promote",
 ]
 
 
@@ -258,15 +258,16 @@ class _FastLeg:
 class _QueuedLeg:
     """A contended wire leg driven by kernel callbacks instead of a process.
 
-    Event-for-event mirror of the ``rma-wire`` process ``Cluster._rma_leg``
-    runs without the fast path: :meth:`WormholeMesh.unicast`, the
-    receive-tail timeout, then ``at_tail``.  Every kernel event that
-    process schedules is scheduled here too — same time, same priority,
-    same point in the scheduling order — so ``sim.events``, the heap tie
-    order and every result stay identical.  Only the generator frames,
-    the ``Process`` and the per-wait ``AnyOf`` objects are gone:
+    Event-for-event mirror of the stepwise leg it replaces:
+    :meth:`WormholeMesh.unicast` (run inside the sender for a send, in an
+    ``rma-wire`` process for a one-sided leg), then the receive-tail
+    timeout.  Every kernel event that leg schedules is scheduled here too
+    — same time, same priority, same point in the scheduling order — so
+    ``sim.events``, the heap tie order and every result stay identical.
+    Only the generator frames, the ``Process`` and the per-wait ``AnyOf``
+    objects are gone:
 
-    * the URGENT start event is the process's ``_Initialize``;
+    * :meth:`start` is the unicast's first step, run where it would run;
     * each hop is a channel grant, then an interruptible ``router_delay``
       wait; :func:`try_promote` runs at the same hop boundaries;
     * each interruptible wait is a timer plus a wake registered on the
@@ -275,7 +276,10 @@ class _QueuedLeg:
       ``AnyOf`` firing), and the wake runs the code the resumed generator
       would run.  A freeze-woken wait serves its remainder after the thaw
       with ``interruptible_delay``'s arithmetic, and a frozen domain
-      parks the leg on ``_thaw_event`` as ``wait_thaw`` does.
+      parks the leg on ``_thaw_event`` as ``wait_thaw`` does;
+    * at wire end ``at_release`` runs (a send's DMA release, where
+      ``Nic.transfer``'s ``finally`` runs it), then the tail timer; on
+      it ``at_tail`` runs, then ``finish(done)``.
     """
 
     __slots__ = (
@@ -286,8 +290,10 @@ class _QueuedLeg:
         "nbytes",
         "rate_cap_Bps",
         "tail_s",
-        "at_tail",
         "done",
+        "finish",
+        "at_release",
+        "at_tail",
         "t0",
         "k",
         "then",
@@ -299,30 +305,30 @@ class _QueuedLeg:
         "freeze_ev",
     )
 
-    def __init__(self, mesh, src, dst, nbytes, rate_cap_Bps, tail_s, at_tail):
-        sim = mesh.sim
+    def __init__(self, mesh, src, dst, nbytes, rate_cap_Bps, tail_s, done,
+                 finish, at_release=None, at_tail=None):
         self.mesh = mesh
-        self.sim = sim
+        self.sim = mesh.sim
         self.domain = mesh.domain
         self.path = mesh.channel_path(src, dst)
         self.nbytes = nbytes
         self.rate_cap_Bps = rate_cap_Bps
         self.tail_s = tail_s
+        self.done = done
+        self.finish = finish
+        self.at_release = at_release
         self.at_tail = at_tail
-        #: The caller-visible completion event (the process's own event).
-        self.done = Event(sim)
         self.timer = None
-        # What ``Process.__init__`` schedules: an URGENT kick at ``now``.
-        start = Event(sim)
-        start._value = None
-        start._cb1 = self._start
-        sim._schedule(start, priority=URGENT)
 
     # -- the unicast walk ----------------------------------------------------
-    def _start(self, _ev) -> None:
+    def start(self) -> None:
+        """The unicast's first step: request the first channel."""
         self.t0 = self.sim.now
         self.k = 0
         self.path[0].acquire()._add_cb(self._on_grant)
+
+    def _start(self, _ev) -> None:
+        self.start()
 
     def _on_grant(self, _ev) -> None:
         self.path[self.k].on_acquired()
@@ -355,13 +361,15 @@ class _QueuedLeg:
         self._on_wire_end(None)
 
     def _on_wire_end(self, _ev) -> None:
+        if self.at_release is not None:
+            self.at_release()
         # ``yield sim.timeout(tail_s)``: fires at ``now + tail_s``.
         self.sim.pooled_timeout_at(self.sim.now + self.tail_s, self._on_tail)
 
     def _on_tail(self, _ev) -> None:
         if self.at_tail is not None:
             self.at_tail()
-        _complete(self.done)
+        self.finish(self.done)
 
     # -- FreezeDomain.interruptible_delay, unrolled into callbacks ----------
     def _delay(self, duration: float, then) -> None:
@@ -530,22 +538,13 @@ def book_leg(mesh, plan: LegPlan) -> None:
     mesh.fast_legs += 1
 
 
-def start_fast_leg(
-    mesh,
-    src: int,
-    dst: int,
-    nbytes: int,
-    rate_cap_Bps: Optional[float],
-    tail_s: float,
-    at_release: Optional[Callable[[], None]] = None,
-    at_tail: Optional[Callable[[], None]] = None,
-) -> Optional[Event]:
-    """Try to charge a ``src → dst`` wire leg analytically.
+def _claim_now(mesh, src, dst, nbytes, rate_cap_Bps, tail_s, at_release,
+               at_tail) -> Optional[Event]:
+    """Charge a ``src → dst`` wire leg injected now analytically.
 
     Returns the completion event (succeeds at wire-end + ``tail_s``, after
     invoking ``at_release`` at path-release time and ``at_tail`` just
-    before completion) — or ``None`` when the leg cannot be proven safe,
-    in which case the caller must run the stepwise path.
+    before completion) — or ``None`` when the leg cannot be proven safe.
 
     Each miss is counted by cause (:func:`claim_miss`).  Under an active
     fault plan every leg misses: faulty wire legs run stepwise so stall
@@ -555,7 +554,7 @@ def start_fast_leg(
     tests/test_fastpath_equivalence.py).  A foreign entry inside the
     head's advance could act while the head would still be moving, so
     claiming the whole path then might steal a channel early; only the
-    oracle orders that correctly.
+    hop-by-hop walk orders that correctly.
     """
     channels = mesh.channel_path(src, dst)
     now = mesh.sim.now
@@ -571,6 +570,42 @@ def start_fast_leg(
     ).done
 
 
+def _faulty(mesh) -> bool:
+    inj = mesh.injector
+    return inj is not None and inj.active
+
+
+def start_send_leg(
+    mesh,
+    src: int,
+    dst: int,
+    nbytes: int,
+    rate_cap_Bps: Optional[float],
+    tail_s: float,
+    at_release: Optional[Callable[[], None]] = None,
+    at_tail: Optional[Callable[[], None]] = None,
+) -> Optional[Event]:
+    """A send's ``src → dst`` wire leg plus receive tail (``Nic.transfer``).
+
+    An analytic leg when the claim-time proof holds, else a
+    :class:`_QueuedLeg` started now, where the stepwise unicast runs
+    inside the sender's step; its tail resumes the sender inline
+    (:meth:`~repro.sim.Simulator.fire`), where the sender's own tail
+    timer would have.  Returns the completion event, or ``None`` under
+    an active fault plan — faulty legs stay stepwise.
+    """
+    done = _claim_now(
+        mesh, src, dst, nbytes, rate_cap_Bps, tail_s, at_release, at_tail
+    )
+    if done is None and not _faulty(mesh):
+        sim = mesh.sim
+        leg = _QueuedLeg(mesh, src, dst, nbytes, rate_cap_Bps, tail_s,
+                         Event(sim), sim.fire, at_release, at_tail)
+        leg.start()
+        done = leg.done
+    return done
+
+
 def try_promote(
     mesh,
     path,
@@ -581,21 +616,20 @@ def try_promote(
 ) -> Optional[Event]:
     """Mid-route promotion: charge the remaining leg analytically.
 
-    Called by the stepwise :meth:`WormholeMesh.unicast` at the hop-``k``
-    claim boundary (``k == len(path)`` means all hops are held and only
-    the body stream remains).  The first ``k`` channels are already held
-    by the caller; if the remaining sub-path passes the same claim-time
-    proof :func:`start_fast_leg` uses (:func:`claim_miss`) — no active
-    fault plan, domain thawed, every remaining channel free, and (for 2+
-    remaining hops) no foreign event inside the head-advance window —
-    the leg takes ownership of the *whole* path and finishes it with two
-    scheduled events.
+    Called by a :class:`_QueuedLeg` at the hop-``k`` claim boundary
+    (``k == len(path)`` means all hops are held and only the body stream
+    remains).  The first ``k`` channels are already held by the leg; if
+    the remaining sub-path passes the claim-time proof (:func:`claim_miss`)
+    — no active fault plan, domain thawed, every remaining channel free,
+    and (for 2+ remaining hops) no foreign event inside the head-advance
+    window — the analytic leg takes ownership of the *whole* path and
+    finishes it with two scheduled events.
 
-    Returns the completion event (succeeds at wire end; the caller still
-    owes the receive tail and its own accounting is skipped because the
-    leg performs it) or ``None`` to continue stepwise.  Failed attempts
-    are not re-counted as fallbacks — the injection-time miss already
-    was.
+    Returns the completion event (succeeds at wire end; the queued leg
+    still owes the receive tail, and its own accounting is skipped
+    because the analytic leg performs it) or ``None`` to continue hop by
+    hop.  Failed attempts are not re-counted as fallbacks — the
+    injection-time miss already was.
     """
     now = mesh.sim.now
     rest = path[k:]
@@ -613,8 +647,8 @@ def try_promote(
         ch.claim(t)
 
     mesh.fast_promotions += 1
-    # tail_s=0: the stepwise caller (the NIC) still serves the receive
-    # tail after the wire leg completes, exactly as it would stepwise.
+    # tail_s=0: the queued leg still serves the receive tail after the
+    # wire leg completes, exactly as the stepwise leg would.
     leg = _FastLeg(
         mesh, list(path), hop_starts, body_start, body_s, 0.0,
         nbytes, None, None, span_t0=span_t0,
@@ -631,19 +665,25 @@ def start_leg(
     tail_s: float,
     at_tail: Optional[Callable[[], None]] = None,
 ) -> Optional[Event]:
-    """Start a ``src → dst`` wire leg plus receive tail without a process.
+    """Start a one-sided ``src → dst`` wire leg plus receive tail without
+    a process.
 
-    An analytic leg (:func:`start_fast_leg`) when the claim-time proof
-    holds, else a callback-driven :class:`_QueuedLeg` that reproduces the
-    stepwise leg event for event.  Returns the completion event, or
-    ``None`` under an active fault plan — faulty legs stay stepwise.
+    An analytic leg when the claim-time proof holds, else a
+    :class:`_QueuedLeg` started where the ``rma-wire`` process it
+    replaces would start.  Returns the completion event, or ``None``
+    under an active fault plan — faulty legs stay stepwise.
     """
-    done = start_fast_leg(
-        mesh, src, dst, nbytes, rate_cap_Bps, tail_s, at_tail=at_tail
+    done = _claim_now(
+        mesh, src, dst, nbytes, rate_cap_Bps, tail_s, None, at_tail
     )
-    if done is not None:
-        return done
-    inj = mesh.injector
-    if inj is not None and inj.active:
-        return None
-    return _QueuedLeg(mesh, src, dst, nbytes, rate_cap_Bps, tail_s, at_tail).done
+    if done is None and not _faulty(mesh):
+        sim = mesh.sim
+        leg = _QueuedLeg(mesh, src, dst, nbytes, rate_cap_Bps, tail_s,
+                         Event(sim), _complete, at_tail=at_tail)
+        # What ``Process.__init__`` schedules: an URGENT kick at ``now``.
+        start = Event(sim)
+        start._value = None
+        start._cb1 = leg._start
+        sim._schedule(start, priority=URGENT)
+        done = leg.done
+    return done

@@ -17,7 +17,6 @@ from typing import Dict, Generator, Optional, Tuple
 
 from repro.sim import Resource, Simulator
 from repro.vbus import fastpath
-from repro.vbus.fastpath import try_promote
 from repro.vbus.flit import flit_count
 from repro.vbus.mesh import MeshTopology
 from repro.vbus.params import LinkParams
@@ -93,7 +92,7 @@ class WormholeMesh:
     """The switched mesh network: channels + wormhole unicast, and the
     fast path's leg entry points (:mod:`repro.vbus.fastpath`)."""
 
-    start_fast_leg = fastpath.start_fast_leg
+    start_send_leg = fastpath.start_send_leg
     start_leg = fastpath.start_leg
     plan_leg = fastpath.plan_leg
     book_leg = fastpath.book_leg
@@ -130,9 +129,6 @@ class WormholeMesh:
         self.fast_fallback_frozen = 0
         self.fast_fallback_peek = 0
         self.fast_fallback_busy = 0
-        #: Set by the Cluster when batched accounting is configured; lets
-        #: the stepwise unicast attempt mid-route promotion.
-        self.fast_path = False
         #: Optional :class:`repro.faults.FaultInjector`; ``None`` = healthy.
         self.injector = None
         self._path_cache: Dict[Tuple[int, int], list] = {}
@@ -164,23 +160,9 @@ class WormholeMesh:
             inj.check_alive(src, dst)
         t0 = self.sim.now
         path = self.channel_path(src, dst)
-        # Mid-route promotion: a leg that fell back at injection time may
-        # still prove the *remaining* sub-path safe at a later hop boundary
-        # (e.g. once a busy channel ahead frees up) and finish analytically.
-        promote = self.fast_path and inj is None
-        promoted = None
         acquired = []
         try:
-            for k, ch in enumerate(path):
-                if promote and k > 0:
-                    promoted = try_promote(
-                        self, path, k, t0, nbytes, rate_cap_Bps
-                    )
-                    if promoted is not None:
-                        # The leg owns the whole path now (release + stats
-                        # + trace span happen at wire end, in the leg).
-                        acquired = []
-                        break
+            for ch in path:
                 yield ch.acquire()
                 ch.on_acquired()
                 acquired.append(ch)
@@ -194,36 +176,23 @@ class WormholeMesh:
                         inj.note_stall(self.sim.now - st0, ch.u, ch.v, st0)
                 # Head-flit fall-through; pauses if the V-Bus freezes us.
                 yield from self.domain.interruptible_delay(self.link.router_delay_s)
-            if promoted is None and promote:
-                # Body-only promotion: the whole path is held, so charging
-                # the body stream analytically is always freeze-safe (the
-                # demotion ledger serves any remainder stepwise).
-                promoted = try_promote(
-                    self, path, len(path), t0, nbytes, rate_cap_Bps
+            rate = self.link_rate_Bps
+            if rate_cap_Bps is not None:
+                rate = min(rate, rate_cap_Bps)
+            # Body streams pipelined along the held path.
+            yield from self.domain.interruptible_delay(nbytes / rate)
+            if inj is not None:
+                # Drop/corrupt/delay faults and their retransmission
+                # rounds run while the path is still held (selective
+                # repeat reuses the claimed route).
+                nflits = flit_count(nbytes, self.link.width_bits)
+                yield from inj.wire_deliver(
+                    src, dst, nflits, (nbytes / rate) / nflits,
+                    wait=self.domain.interruptible_delay,
                 )
-                if promoted is not None:
-                    acquired = []
-            if promoted is None:
-                rate = self.link_rate_Bps
-                if rate_cap_Bps is not None:
-                    rate = min(rate, rate_cap_Bps)
-                # Body streams pipelined along the held path.
-                yield from self.domain.interruptible_delay(nbytes / rate)
-                if inj is not None:
-                    # Drop/corrupt/delay faults and their retransmission
-                    # rounds run while the path is still held (selective
-                    # repeat reuses the claimed route).
-                    nflits = flit_count(nbytes, self.link.width_bits)
-                    yield from inj.wire_deliver(
-                        src, dst, nflits, (nbytes / rate) / nflits,
-                        wait=self.domain.interruptible_delay,
-                    )
         finally:
             for ch in reversed(acquired):
                 ch.release()
-        if promoted is not None:
-            yield promoted
-            return self.sim.now - t0
         self.count_leg(src, dst, nbytes, len(path), t0)
         return self.sim.now - t0
 

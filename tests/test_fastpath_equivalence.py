@@ -432,6 +432,47 @@ def test_fast_path_actually_engages():
     assert cluster.network.fast_fallbacks == 0
 
 
+def _spy_unicast(monkeypatch):
+    """Record every entry into the mesh's stepwise ``unicast``."""
+    entered = []
+    unicast = WormholeMesh.unicast
+
+    def spy(mesh, *args, **kwargs):
+        entered.append(args)
+        return unicast(mesh, *args, **kwargs)
+
+    monkeypatch.setattr(WormholeMesh, "unicast", spy)
+    return entered
+
+
+@pytest.mark.parametrize("spec,nprocs", [("MM-64", 16), ("SWIM-32", 4)])
+def test_no_mesh_send_runs_the_generator(spec, nprocs, monkeypatch):
+    """Fast path on, no fault plan: a mesh send that misses the claim
+    runs as a queued leg, never as the stepwise ``unicast`` generator."""
+    from repro.compiler.pipeline import compile_source
+    from repro.runtime.executor import run_program
+    from repro.workloads import source_for
+
+    entered = _spy_unicast(monkeypatch)
+    misses = []
+    start_send_leg = WormholeMesh.start_send_leg
+
+    def spy(mesh, *args, **kwargs):
+        before = mesh.fast_fallbacks
+        done = start_send_leg(mesh, *args, **kwargs)
+        misses.append(mesh.fast_fallbacks - before)
+        return done
+
+    monkeypatch.setattr(WormholeMesh, "start_send_leg", spy)
+    run_program(
+        compile_source(source_for(spec), nprocs=nprocs),
+        cluster_params=replace(backend_params("vbus", nprocs), fast_path=True),
+        execute=False,
+    )
+    assert sum(misses) > 0  # some sends did miss the claim
+    assert entered == []
+
+
 def test_stepwise_mode_never_uses_fast_legs():
     params = _params(2, 2, False)
     sim = Simulator()
@@ -482,8 +523,10 @@ def test_fault_plan_fast_vs_slow_equivalent(rows, cols):
     assert slow["stats"]["fault_dropped_flits"] > 0
 
 
-def test_active_fault_plan_demotes_every_leg():
-    """fast_path=True + active plan => zero fast legs, fallbacks counted."""
+def test_active_fault_plan_demotes_every_leg(monkeypatch):
+    """fast_path=True + active plan => zero fast legs, fallbacks counted,
+    and the send runs the stepwise ``unicast``."""
+    entered = _spy_unicast(monkeypatch)
     params = _fault_params(2, 2, True)
     sim = Simulator()
     cluster = Cluster(sim, params)
@@ -491,6 +534,7 @@ def test_active_fault_plan_demotes_every_leg():
     sim.run(until=proc)
     assert cluster.network.fast_legs == 0
     assert cluster.network.fast_fallbacks >= 1
+    assert entered == [(0, 1, 4096, VBUS_SKWP.nic.dma_rate_Bps)]
 
 
 def test_empty_fault_plan_keeps_fast_path():
@@ -662,10 +706,8 @@ def _hotspot(contiguous, where, stream=False, send=False):
     return hotspot(freeze=(grant + rd / 2, rd / 4))
 
 
-@pytest.mark.parametrize("where", FREEZES)
-@pytest.mark.parametrize("contiguous", [True, False])
-def test_collect_hotspot_queued_legs(contiguous, where, monkeypatch):
-    scenario = _hotspot(contiguous, where)
+def _spy_freeze_wakes(monkeypatch):
+    """Record when a freeze (not the timer) wakes a queued leg's wait."""
     freeze_wakes = []
     on_wake = fastpath._QueuedLeg._on_wake
 
@@ -675,6 +717,14 @@ def test_collect_hotspot_queued_legs(contiguous, where, monkeypatch):
         on_wake(leg, ev)
 
     monkeypatch.setattr(fastpath._QueuedLeg, "_on_wake", spy)
+    return freeze_wakes
+
+
+@pytest.mark.parametrize("where", FREEZES)
+@pytest.mark.parametrize("contiguous", [True, False])
+def test_collect_hotspot_queued_legs(contiguous, where, monkeypatch):
+    scenario = _hotspot(contiguous, where)
+    freeze_wakes = _spy_freeze_wakes(monkeypatch)
     assert_equivalent(4, 4, scenario)
     if where in ("head", "short"):
         assert freeze_wakes  # the freeze did cut a queued leg's head hop
@@ -682,11 +732,15 @@ def test_collect_hotspot_queued_legs(contiguous, where, monkeypatch):
 
 @pytest.mark.parametrize("where", FREEZES)
 @pytest.mark.parametrize("contiguous", [True, False])
-def test_send_hotspot_matches_stepwise(contiguous, where):
+def test_send_hotspot_matches_stepwise(contiguous, where, monkeypatch):
     """Fifteen ranks send to rank 0 at once, with each freeze placement:
     end times, receipts, counters and channel use equal the stepwise
     oracle's."""
-    assert_equivalent(4, 4, _hotspot(contiguous, where, send=True))
+    scenario = _hotspot(contiguous, where, send=True)
+    freeze_wakes = _spy_freeze_wakes(monkeypatch)
+    assert_equivalent(4, 4, scenario)
+    if where in ("head", "short"):
+        assert freeze_wakes  # the freeze did cut a queued send's head hop
 
 
 def _wakes(event):
@@ -835,16 +889,12 @@ def test_pop_golden_covers_every_cell():
 
 @pytest.mark.parametrize("where", FREEZES)
 @pytest.mark.parametrize("contiguous", [True, False])
-def test_queued_legs_pop_the_rma_wire_events(contiguous, where, monkeypatch):
+def test_queued_legs_pop_the_rma_wire_events(contiguous, where):
     """Queued legs pop exactly the acting entries of the promoting
-    ``rma-wire`` processes they replace (the golden): same times,
+    ``rma-wire`` processes they replaced (the golden): same times,
     priorities, order and ranks, and the same fast-path counters."""
     name, golden = _pop_golden("collect", contiguous, where)
-    # start_fast_leg returns None on a miss, so the put stream then falls
-    # back to an rma-wire process; start_leg queues the leg instead.
-    for start in (fastpath.start_fast_leg, fastpath.start_leg):
-        monkeypatch.setattr(WormholeMesh, "start_leg", start)
-        assert pop_log(name) == golden
+    assert pop_log(name) == golden
 
 
 @pytest.mark.parametrize("where", FREEZES)
