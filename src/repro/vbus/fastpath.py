@@ -109,7 +109,7 @@ from __future__ import annotations
 
 from typing import Callable, List, Optional
 
-from repro.sim.kernel import URGENT, Event
+from repro.sim.kernel import Event
 
 __all__ = [
     "LegPlan", "book_leg", "claim_leg", "claim_miss", "leg_times",
@@ -326,9 +326,6 @@ class _QueuedLeg:
         self.t0 = self.sim.now
         self.k = 0
         self.path[0].acquire()._add_cb(self._on_grant)
-
-    def _start(self, _ev) -> None:
-        self.start()
 
     def _on_grant(self, _ev) -> None:
         self.path[self.k].on_acquired()
@@ -680,10 +677,7 @@ def start_leg(
         sim = mesh.sim
         leg = _QueuedLeg(mesh, src, dst, nbytes, rate_cap_Bps, tail_s,
                          Event(sim), _complete, at_tail=at_tail)
-        # What ``Process.__init__`` schedules: an URGENT kick at ``now``.
-        start = Event(sim)
-        start._value = None
-        start._cb1 = leg._start
-        sim._schedule(start, priority=URGENT)
+        # Where the rma-wire process's URGENT start entry would run.
+        sim.urgent(leg.start)
         done = leg.done
     return done
