@@ -38,6 +38,8 @@ the primitives its bit-identity proof needs:
 * :meth:`Simulator.fire` triggers an event and runs its callbacks inside
   the current step, so a callback chain can resume a waiting process
   where that process would itself have continued.
+* :meth:`Simulator.settle` succeeds an event nobody waits on without a
+  heap entry: a leg completion no window holds changes no order.
 * :meth:`Simulator.urgent` runs a callback where a fresh URGENT entry at
   ``now`` would run, without the entry when no URGENT entry at ``now``
   is queued ahead of it: a callback leg starts where the process it
@@ -512,6 +514,23 @@ class Simulator:
                 cb(event)
         if not ok and not event._defused:
             raise value
+
+    def settle(self, event: Event) -> None:
+        """Succeed ``event``; one nobody waits on needs no heap entry.
+
+        With no callback attached, the event is marked triggered and
+        processed at once, and its no-op entry is never made, so every
+        other entry keeps its order.  Only for events no callback can
+        attach to later (a wire leg's completion: windows drain only legs
+        not yet triggered).  With a callback it succeeds as usual.
+        """
+        if event._cb1 is None and event._cbs is None:
+            if event._value is not _PENDING:
+                raise SimulationError(f"{event!r} already triggered")
+            event._value = None
+            event._processed = True
+        else:
+            event.succeed()
 
     def urgent(self, callback: Callable[[], None]) -> None:
         """Run ``callback`` where a new URGENT entry at ``now`` would run.

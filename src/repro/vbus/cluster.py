@@ -246,8 +246,7 @@ class _RmaStream:
                     nxt = self._next_plan(plan.t_end, contiguous, horizon)
                 if nxt is not None:
                     network.book_leg(plan)
-                    completion._value = None
-                    completion._processed = True
+                    sim.settle(completion)
                     self._pass_dma(contiguous, t, plan.t_end)
                     self.t = nxt.t
                     plan = nxt

@@ -48,7 +48,7 @@ import math
 from typing import Callable, Dict, Generator, Optional
 
 from repro.sim import AllOf, Event, Resource, Simulator
-from repro.vbus.fastpath import LegPlan, _complete
+from repro.vbus.fastpath import LegPlan
 from repro.vbus.params import EthernetParams
 
 __all__ = ["EthernetNetwork"]
@@ -220,7 +220,7 @@ class EthernetNetwork:
     def _queue_leg(self, src, dst, nbytes, rate_cap_Bps, tail_s, t, done,
                    at_tail) -> Event:
         leg = _Leg(self, src, dst, nbytes, rate_cap_Bps, tail_s, t, done,
-                   _complete, at_tail=at_tail)
+                   self.sim.settle, at_tail=at_tail)
         # Where the rma-wire process's URGENT start entry would run.
         self.sim.urgent(leg.start)
         return done

@@ -198,7 +198,7 @@ class _FastLeg:
         """Receive-side dequeue done at ``t_end``."""
         if self.at_tail is not None:
             self.at_tail()
-        _complete(self.done)
+        self.sim.settle(self.done)
 
     def _release_channels(self) -> None:
         channels = self.channels
@@ -252,7 +252,7 @@ class _FastLeg:
         yield self.sim.timeout(self.tail_s)
         if self.at_tail is not None:
             self.at_tail()
-        _complete(self.done)
+        self.sim.settle(self.done)
 
 
 class _QueuedLeg:
@@ -415,21 +415,6 @@ class _QueuedLeg:
         self.timer = None
         self.remaining -= self.sim.now - self.started
         self._wait()
-
-
-def _complete(done: Event) -> None:
-    """Succeed a leg's completion event.
-
-    One nobody waits on is marked triggered and processed without a heap
-    entry: windows drain only legs that are not yet triggered, so no
-    callback can attach later, and dropping a no-op entry leaves every
-    other entry in the same order.
-    """
-    if done._cb1 is None and done._cbs is None:
-        done._value = None
-        done._processed = True
-    else:
-        done.succeed()
 
 
 def leg_times(mesh, hops: int, t: float, nbytes: int,
@@ -676,7 +661,7 @@ def start_leg(
     if done is None and not _faulty(mesh):
         sim = mesh.sim
         leg = _QueuedLeg(mesh, src, dst, nbytes, rate_cap_Bps, tail_s,
-                         Event(sim), _complete, at_tail=at_tail)
+                         Event(sim), sim.settle, at_tail=at_tail)
         # Where the rma-wire process's URGENT start entry would run.
         sim.urgent(leg.start)
         done = leg.done

@@ -686,3 +686,27 @@ def test_urgent_runs_where_an_urgent_entry_would():
     events = sim._seq - len(sim._queue)
     ref_events = ref_sim._seq - len(ref_sim._queue)
     assert events == ref_events - 4
+
+
+def test_settle_needs_no_entry_when_nobody_waits():
+    sim = Simulator()
+    alone = sim.event()
+    sim.settle(alone)
+    assert alone.triggered and alone.processed
+    assert sim._seq == 0  # no heap entry was made
+    with pytest.raises(SimulationError):
+        sim.settle(alone)
+
+    waited = sim.event()
+    woke = []
+
+    def waiter():
+        yield waited
+        woke.append(sim.now)
+
+    sim.process(waiter())
+    sim.run()
+    sim.settle(waited)  # a waiter is attached: succeeds through an entry
+    assert not waited.processed
+    sim.run()
+    assert woke == [0.0] and waited.processed

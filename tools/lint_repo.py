@@ -14,12 +14,16 @@ Three rules, all load-bearing for reproducibility contracts:
    changes the bytes of every previously-committed artifact and cache
    row (the byte-compat convention of docs/SWEEP.md and docs/CHECK.md).
 
-3. **Only the kernel moves the clock**: outside ``src/repro/sim`` no
-   code may assign a :class:`~repro.sim.Simulator` private field
-   (``_now``, ``_seq``, ``_queue``).  Layers that run ahead of the heap
-   (the RMA put streams booking legs before the event horizon) keep
-   their own clock and schedule through kernel methods, so every heap
-   entry keeps its ``(time, priority, seq)`` order.
+3. **Only the kernel moves the clock and settles events**: outside
+   ``src/repro/sim`` no code may assign a :class:`~repro.sim.Simulator`
+   private field (``_now``, ``_seq``, ``_queue``) or an
+   :class:`~repro.sim.Event` private field (``_value``, ``_ok``,
+   ``_processed``, ``_cb1``, ``_cbs``, ``_defused``).  Layers that run
+   ahead of the heap (the RMA put streams booking legs before the event
+   horizon) keep their own clock, schedule through kernel methods and
+   settle events through them (``Simulator.settle``, ``fire``,
+   ``urgent``), so every heap entry keeps its ``(time, priority, seq)``
+   order.
 
 Usage::
 
@@ -98,8 +102,9 @@ def lint_wall_clock(findings):
                         )
 
 
-#: Simulator fields only the kernel may assign.
-KERNEL_PRIVATE = {"_now", "_seq", "_queue"}
+#: Simulator and Event fields only the kernel may assign.
+SIMULATOR_PRIVATE = {"_now", "_seq", "_queue"}
+EVENT_PRIVATE = {"_value", "_ok", "_processed", "_cb1", "_cbs", "_defused"}
 
 
 def lint_kernel_private(findings):
@@ -116,14 +121,19 @@ def lint_kernel_private(findings):
                 continue
             for target in targets:
                 for sub in ast.walk(target):
-                    if isinstance(sub, ast.Attribute) and (
-                        sub.attr in KERNEL_PRIVATE
-                    ):
-                        findings.append(
-                            f"{path.relative_to(REPO)}:{node.lineno}: "
-                            f"assigns Simulator field {sub.attr} outside "
-                            f"src/repro/sim (schedule through the kernel)"
-                        )
+                    if not isinstance(sub, ast.Attribute):
+                        continue
+                    if sub.attr in SIMULATOR_PRIVATE:
+                        owner = "Simulator"
+                    elif sub.attr in EVENT_PRIVATE:
+                        owner = "Event"
+                    else:
+                        continue
+                    findings.append(
+                        f"{path.relative_to(REPO)}:{node.lineno}: "
+                        f"assigns {owner} field {sub.attr} outside "
+                        f"src/repro/sim (schedule through the kernel)"
+                    )
 
 
 def _optional_key_of(stmt):
