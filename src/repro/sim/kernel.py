@@ -516,14 +516,10 @@ class Simulator:
             raise value
 
     def settle(self, event: Event) -> None:
-        """Succeed ``event``; one nobody waits on needs no heap entry.
-
-        With no callback attached, the event is marked triggered and
-        processed at once, and its no-op entry is never made, so every
-        other entry keeps its order.  Only for events no callback can
-        attach to later (a wire leg's completion: windows drain only legs
-        not yet triggered).  With a callback it succeeds as usual.
-        """
+        """Succeed ``event``, at once and without a heap entry when no
+        callback is attached: dropping a no-op entry keeps every other
+        entry's order.  Only for events no callback can attach to later
+        (a leg completion: windows drain only legs not yet triggered)."""
         if event._cb1 is None and event._cbs is None:
             if event._value is not _PENDING:
                 raise SimulationError(f"{event!r} already triggered")

@@ -6,11 +6,12 @@ network object — a :class:`~repro.vbus.router.WormholeMesh` (V-Bus) or an
 interface both answer:
 
 * ``unicast(src, dst, nbytes, rate_cap)`` — the stepwise wire leg, a
-  generator;
-* ``start_fast_leg(...)`` (a send's leg) and ``start_leg(...)`` (a
+  generator: the oracle, run only with ``fast_path=False`` or under an
+  active fault plan;
+* ``start_send_leg(...)`` (a send's leg) and ``start_leg(...)`` (a
   one-sided leg) — the fast path's leg entry points: a completion event,
-  or ``None`` meaning "run the stepwise leg" (under an active fault
-  plan); the mesh answers with analytic or queued legs
+  or ``None`` only under an active fault plan, meaning "run the
+  stepwise leg"; the mesh answers with analytic or queued callback legs
   (:mod:`repro.vbus.fastpath`), Ethernet with callback legs
   (:mod:`repro.vbus.ethernet`);
 * ``plan_leg(...)`` (a plan, or ``None`` when the leg cannot be booked),

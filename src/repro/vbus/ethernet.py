@@ -32,7 +32,7 @@ order:
   entry is queued at ``now``: the grant would then be the next entry
   popped, and all it does is schedule the next timer.
 
-Its unwaited completion is dropped by :func:`~repro.vbus.fastpath._complete`.
+Its unwaited completion is dropped by :meth:`~repro.sim.Simulator.settle`.
 A put stream may also *book* a leg ahead of the event horizon
 (:meth:`plan_leg`, :meth:`book_leg`): when both its ports
 are idle with no waiters, and the leg's tail and the stream's next wire

@@ -27,36 +27,36 @@ Exactness argument (the equivalence suite in
   identical to acquiring it hop by hop.
   Single-hop legs are exempt: their claim point coincides exactly with
   the stepwise acquire.
-* A leg that misses the claim-time proof is not lost: it advances hop
-  by hop and re-attempts the proof at every hop boundary (and once more
-  just before body streaming) via :func:`try_promote`.  The claim point
-  of hop *k* is an event boundary, so the same guard applies to the
-  remaining sub-path — the already-held hops stay held either way, and
-  the promoted remainder uses the identical claim-time float sequence
-  the stepwise loop would have produced.  Promotions are counted in
-  ``mesh.fast_promotions``; claim-time misses are broken down by cause
-  in ``mesh.fast_fallback_{injector,frozen,peek,busy}``.
+* A leg that misses the claim-time proof runs as a :class:`_QueuedLeg`,
+  the one callback leg machine for sends (:func:`start_send_leg`) and
+  one-sided legs (:func:`start_leg`): kernel callbacks, not a generator,
+  but the *same events* — same timestamps, priorities and scheduling
+  order, freezes included — as the stepwise leg it replaces (``unicast``
+  inside the sender, or an ``rma-wire`` process; see the class).  A
+  send's leg starts inline in the sender's step, where its unicast
+  would start; a one-sided leg starts through
+  :meth:`~repro.sim.Simulator.urgent`, where the process's URGENT start
+  entry would run (the leg is made in a step that runs only the
+  stream's callback, so nothing is reordered around it).  With
+  identical heap entries, every later decision (``sim.peek`` guards
+  included) is identical too.  Fault plans keep the stepwise leg: both
+  entry points return ``None``.
+* A queued leg re-attempts the proof at every hop boundary (and once
+  more just before body streaming) via :func:`try_promote`.  The claim
+  point of hop *k* is an event boundary, so the same guard applies to
+  the remaining sub-path — the already-held hops stay held either way,
+  and the promoted remainder uses the identical claim-time float
+  sequence the hop-by-hop walk would have produced.  Promotions are
+  counted in ``mesh.fast_promotions``; claim-time misses are broken
+  down by cause in ``mesh.fast_fallback_{injector,frozen,peek,busy}``.
 * These functions are the mesh's leg entry points:
-  :class:`~repro.vbus.router.WormholeMesh` has :func:`start_fast_leg`,
+  :class:`~repro.vbus.router.WormholeMesh` has :func:`start_send_leg`,
   :func:`start_leg`, :func:`plan_leg`, :func:`book_leg` and
   :func:`claim_leg` as methods, which ``Nic.transfer`` and the put
   streams call on whatever network the cluster holds
   (:class:`~repro.vbus.ethernet.EthernetNetwork` answers the same
-  methods with its own callback legs).
-* A contended one-sided leg (:func:`start_leg`, used by the put
-  streams of ``Cluster.rma_legs``) advances as a :class:`_QueuedLeg`: kernel
-  callbacks, not a generator process, but the *same events* — same
-  timestamps, priorities and scheduling order — as the stepwise
-  ``rma-wire`` process: its URGENT start, per hop the channel grant,
-  the ``router_delay_s`` timer and the NORMAL wake of the ``AnyOf``, the
-  promotion attempts, the body, the receive-tail timer, then completion.
-  Freezes act on it exactly as on
-  :meth:`~repro.vbus.vbusctl.FreezeDomain.interruptible_delay`: each
-  wait's wake sits on the domain's ``_freeze_event`` in the ``AnyOf``'s
-  slot, a frozen wait serves its remainder after the thaw, and a grant
-  while frozen waits on ``_thaw_event``.  With identical heap entries,
-  every later decision (``sim.peek`` guards included) is identical too.
-  Fault plans keep the process: :func:`start_leg` returns ``None``.
+  methods with its own callback legs).  The generator ``unicast``
+  serves only fault plans and ``fast_path=False``: it is the oracle.
 * A freeze *can* still land inside the last head hop or the body
   stream (those lie beyond the guard window).  The
   :class:`~repro.vbus.vbusctl.FreezeDomain` keeps a ledger of live fast
@@ -66,9 +66,9 @@ Exactness argument (the equivalence suite in
   arithmetic ``interruptible_delay`` uses), releases the path, and runs
   the receive tail.
 
-* **Unwaited completions** (:func:`_complete`).  A leg whose completion
-  event has no callback when it ends is marked triggered and processed
-  without a heap entry.  Windows drain only legs not yet triggered, so
+* **Unwaited completions** (:meth:`~repro.sim.Simulator.settle`).  A
+  leg whose completion event has no callback when it ends is marked
+  triggered and processed without a heap entry.  Windows drain only legs not yet triggered, so
   no callback can attach later, and dropping a no-op entry leaves every
   acting entry in the same order.  (The peek guard above stops seeing
   such entries; it stays sound, since they cannot act.)
@@ -171,7 +171,7 @@ class _FastLeg:
         self.channels = channels
         self.hop_starts = hop_starts
         #: Wire-span start for the tracer: injection time.  A promoted leg
-        #: passes the original unicast entry time; a full leg starts now.
+        #: passes its queued leg's start time; a full leg starts now.
         self.span_t0 = hop_starts[0] if span_t0 is None else span_t0
         self.head_s = mesh.link.router_delay_s
         self.body_start = body_start
@@ -283,26 +283,9 @@ class _QueuedLeg:
     """
 
     __slots__ = (
-        "mesh",
-        "sim",
-        "domain",
-        "path",
-        "nbytes",
-        "rate_cap_Bps",
-        "tail_s",
-        "done",
-        "finish",
-        "at_release",
-        "at_tail",
-        "t0",
-        "k",
-        "then",
-        "remaining",
-        "started",
-        "timer",
-        "timer_won",
-        "woken",
-        "freeze_ev",
+        "mesh", "sim", "domain", "path", "nbytes", "rate_cap_Bps", "tail_s",
+        "done", "finish", "at_release", "at_tail", "t0", "k", "then",
+        "remaining", "started", "timer", "timer_won", "woken", "freeze_ev",
     )
 
     def __init__(self, mesh, src, dst, nbytes, rate_cap_Bps, tail_s, done,
@@ -318,7 +301,6 @@ class _QueuedLeg:
         self.finish = finish
         self.at_release = at_release
         self.at_tail = at_tail
-        self.timer = None
 
     # -- the unicast walk ----------------------------------------------------
     def start(self) -> None:
@@ -558,13 +540,8 @@ def _faulty(mesh) -> bool:
 
 
 def start_send_leg(
-    mesh,
-    src: int,
-    dst: int,
-    nbytes: int,
-    rate_cap_Bps: Optional[float],
-    tail_s: float,
-    at_release: Optional[Callable[[], None]] = None,
+    mesh, src: int, dst: int, nbytes: int, rate_cap_Bps: Optional[float],
+    tail_s: float, at_release: Optional[Callable[[], None]] = None,
     at_tail: Optional[Callable[[], None]] = None,
 ) -> Optional[Event]:
     """A send's ``src → dst`` wire leg plus receive tail (``Nic.transfer``).
@@ -639,13 +616,8 @@ def try_promote(
 
 
 def start_leg(
-    mesh,
-    src: int,
-    dst: int,
-    nbytes: int,
-    rate_cap_Bps: Optional[float],
-    tail_s: float,
-    at_tail: Optional[Callable[[], None]] = None,
+    mesh, src: int, dst: int, nbytes: int, rate_cap_Bps: Optional[float],
+    tail_s: float, at_tail: Optional[Callable[[], None]] = None,
 ) -> Optional[Event]:
     """Start a one-sided ``src → dst`` wire leg plus receive tail without
     a process.

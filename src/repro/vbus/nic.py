@@ -130,11 +130,13 @@ class Nic:
         ``nbytes`` through the interconnect, honoring an optional source-side
         rate cap.  ``fast`` selects the fast path's injection rules
         (:meth:`inject`).  ``fast_start(rate_cap, tail_s, at_release)``,
-        when given (with ``fast``), may run the wire leg + receive tail
-        without a generator (see :mod:`repro.vbus.fastpath` and
-        :mod:`repro.vbus.ethernet`), returning a completion event — or
-        ``None``, in which case the stepwise ``network_call`` runs.
-        Returns a :class:`TransferReceipt`.
+        when given (with ``fast``), runs the wire leg + receive tail
+        without a generator (the network's ``start_send_leg``: see
+        :mod:`repro.vbus.fastpath` and :mod:`repro.vbus.ethernet`) and
+        returns its completion event, calling ``at_release`` at wire
+        end; it returns ``None`` only under an active fault plan, and
+        then the stepwise ``network_call`` runs.  Returns a
+        :class:`TransferReceipt`.
         """
         if elements is None:
             elements = max(1, nbytes // 8)
@@ -168,7 +170,7 @@ class Nic:
             self.pio_elements += elements
 
         if done is not None:
-            # Analytic leg: wire streaming + receive dequeue in one wait.
+            # A callback leg: wire streaming + receive dequeue in one wait.
             yield done
         else:
             # Receiving daemon dequeues the message.

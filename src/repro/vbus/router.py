@@ -89,8 +89,9 @@ class Channel:
 
 
 class WormholeMesh:
-    """The switched mesh network: channels + wormhole unicast, and the
-    fast path's leg entry points (:mod:`repro.vbus.fastpath`)."""
+    """The switched mesh network: channels + the stepwise wormhole
+    unicast, and the fast path's leg entry points
+    (:mod:`repro.vbus.fastpath`)."""
 
     start_send_leg = fastpath.start_send_leg
     start_leg = fastpath.start_leg
@@ -150,6 +151,11 @@ class WormholeMesh:
         ``rate_cap_Bps`` throttles streaming below the raw link rate (e.g.
         when the source DMA engine, not the wire, is the bottleneck).
         Returns (via StopIteration) the network time consumed.
+
+        The stepwise oracle: it serves ``fast_path=False`` and active
+        fault plans only.  On the fast path every leg is analytic or a
+        callback leg that pops this generator's entries
+        (:mod:`repro.vbus.fastpath`).
         """
         if src == dst:
             return 0.0
