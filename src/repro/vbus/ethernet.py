@@ -48,7 +48,7 @@ import math
 from typing import Callable, Dict, Generator, Optional
 
 from repro.sim import AllOf, Event, Resource, Simulator
-from repro.vbus.fastpath import LegPlan
+from repro.vbus.fastpath import LegPlan, faulty
 from repro.vbus.params import EthernetParams
 
 __all__ = ["EthernetNetwork"]
@@ -180,10 +180,6 @@ class EthernetNetwork:
         self.bytes = 0
 
     # -- the fast path's leg entry points ----------------------------------
-    def _faulty(self) -> bool:
-        inj = self.injector
-        return inj is not None and inj.active
-
     def start_send_leg(
         self, src: int, dst: int, nbytes: int,
         rate_cap_Bps: Optional[float], tail_s: float,
@@ -195,7 +191,7 @@ class EthernetNetwork:
         the sender's step, and its tail resumes the sender inline
         (:meth:`~repro.sim.Simulator.fire`), where the sender's own tail
         timer would have."""
-        if self._faulty():
+        if faulty(self):
             return None
         sim = self.sim
         leg = _Leg(self, src, dst, nbytes, rate_cap_Bps, tail_s, sim.now,
@@ -210,7 +206,7 @@ class EthernetNetwork:
     ) -> Optional[Event]:
         """A one-sided leg: the ``rma-wire`` process's entries from a
         callback chain, or ``None`` under an active fault plan."""
-        if self._faulty():
+        if faulty(self):
             return None
         return self._queue_leg(
             src, dst, nbytes, rate_cap_Bps, tail_s, self.sim.now,
@@ -235,7 +231,7 @@ class EthernetNetwork:
         it is held).  The stream books it only when its tail and the next
         wire time end before the horizon, so no other leg can take those
         ports first."""
-        if self._faulty():
+        if faulty(self):
             return None
         if self._tx is None:
             if self._medium.in_use:

@@ -112,7 +112,7 @@ from typing import Callable, List, Optional
 from repro.sim.kernel import Event
 
 __all__ = [
-    "LegPlan", "book_leg", "claim_leg", "claim_miss", "leg_times",
+    "LegPlan", "book_leg", "claim_leg", "claim_miss", "faulty", "leg_times",
     "plan_leg", "start_leg", "start_send_leg", "try_promote",
 ]
 
@@ -425,8 +425,7 @@ def claim_miss(mesh, channels, t: float,
     (``busy``).  ``horizon`` is the next foreign entry's time; ``None``
     peeks the heap, and only when a 2+ hop route needs it.
     """
-    inj = mesh.injector
-    if inj is not None and inj.active:
+    if faulty(mesh):
         return "fast_fallback_injector"
     if mesh.domain.frozen:
         return "fast_fallback_frozen"
@@ -534,8 +533,10 @@ def _claim_now(mesh, src, dst, nbytes, rate_cap_Bps, tail_s, at_release,
     ).done
 
 
-def _faulty(mesh) -> bool:
-    inj = mesh.injector
+def faulty(network) -> bool:
+    """Whether ``network`` runs under an active fault plan, where every
+    leg stays stepwise."""
+    inj = network.injector
     return inj is not None and inj.active
 
 
@@ -556,7 +557,7 @@ def start_send_leg(
     done = _claim_now(
         mesh, src, dst, nbytes, rate_cap_Bps, tail_s, at_release, at_tail
     )
-    if done is None and not _faulty(mesh):
+    if done is None and not faulty(mesh):
         sim = mesh.sim
         leg = _QueuedLeg(mesh, src, dst, nbytes, rate_cap_Bps, tail_s,
                          Event(sim), sim.fire, at_release, at_tail)
@@ -630,7 +631,7 @@ def start_leg(
     done = _claim_now(
         mesh, src, dst, nbytes, rate_cap_Bps, tail_s, None, at_tail
     )
-    if done is None and not _faulty(mesh):
+    if done is None and not faulty(mesh):
         sim = mesh.sim
         leg = _QueuedLeg(mesh, src, dst, nbytes, rate_cap_Bps, tail_s,
                          Event(sim), sim.settle, at_tail=at_tail)
